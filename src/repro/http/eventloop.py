@@ -21,6 +21,13 @@ Connection state machine (see DESIGN.md for the full diagram)::
                                (or CLOSED: Connection: close, EOF,
                                 protocol error, idle timeout, fault drop)
 
+WRITING → READING has two routes. A worker whose direct send put the whole
+response on the wire completes the connection itself, under
+``connection.lock``, when the loop has nothing to do for it (no pipelined
+successor, no EOF, no close, reading enabled): the common keep-alive
+exchange never wakes the loop. Otherwise it hands back with
+``call_soon(_response_done)``.
+
 The loop never blocks on a handler: a worker that wants to wait (the
 ``?wait=`` long-poll) raises :class:`~repro.http.app.DeferredResponse`
 through the kernel; the connection parks on the job's transition
@@ -167,7 +174,11 @@ class _Connection:
         #: path refills ``outbuf`` from it one chunk at a time, so a
         #: multi-GB response never occupies more than a chunk of memory.
         self.stream = None
-        #: Guards ``outbuf``/``closed`` against the off-loop writers.
+        #: Guards what loop and workers both touch: ``outbuf``,
+        #: ``out_offset``, ``stream`` and ``closed`` (the write path), and
+        #: ``pipeline``, ``busy`` and ``eof`` (the hand-back of a finished
+        #: response). The other fields belong to the loop thread;
+        #: ``close_after`` and ``reading`` are read under it by a worker.
         self.lock = threading.Lock()
         #: A request from this connection is being handled or is parked.
         self.busy = False
@@ -238,9 +249,10 @@ class _EventLoop:
         self.selector.close()
 
     def _drain_wakeup(self, sock: socket.socket) -> None:
+        # the selector is level-triggered: whatever one read leaves behind
+        # brings the loop straight back here
         with contextlib.suppress(OSError):
-            while sock.recv(4096):
-                pass
+            sock.recv(4096)
 
     # ------------------------------------------------------------ connections
 
@@ -259,18 +271,17 @@ class _EventLoop:
     def _set_interest(self, connection: _Connection, reading: bool, writing: bool) -> None:
         if connection.closed or (reading, writing) == (connection.reading, connection.writing):
             return
+        registered = connection.reading or connection.writing
         connection.reading, connection.writing = reading, writing
         events = (selectors.EVENT_READ if reading else 0) | (
             selectors.EVENT_WRITE if writing else 0
         )
-        if events:
-            self.selector.modify(
-                connection.sock,
-                events,
-                lambda _s, c=connection: self._on_ready(c),
-            )
-        else:
+        if not events:
             self.selector.unregister(connection.sock)
+            return
+        # a full pipeline with nothing to flush left the socket unregistered
+        change = self.selector.modify if registered else self.selector.register
+        change(connection.sock, events, lambda _s, c=connection: self._on_ready(c))
 
     def _on_ready(self, connection: _Connection) -> None:
         # one callback serves both directions; check actual readiness cheaply
@@ -288,8 +299,8 @@ class _EventLoop:
             self._abort(connection)
             return
         if not data:
-            connection.eof = True
             with connection.lock:
+                connection.eof = True
                 pending = (
                     connection.busy or connection.pipeline or self._has_backlog(connection)
                 )
@@ -303,18 +314,26 @@ class _EventLoop:
             self._refuse(connection, error)
             return
         if parsed:
-            connection.pipeline.extend(parsed)
-            if len(connection.pipeline) >= MAX_PIPELINE_DEPTH:
+            with connection.lock:
+                connection.pipeline.extend(parsed)
+                full = len(connection.pipeline) >= MAX_PIPELINE_DEPTH
+            if full:
                 # stop reading until responses drain; resumes in _response_done
                 self._set_interest(connection, reading=False, writing=connection.writing)
             self._pump(connection)
 
     def _pump(self, connection: _Connection) -> None:
-        """Dispatch the next pipelined request unless one is in flight."""
-        if connection.busy or connection.closed or not connection.pipeline:
-            return
-        request, close_after = connection.pipeline.popleft()
-        connection.busy = True
+        """Dispatch the next pipelined request unless one is in flight.
+
+        The claim happens under the lock a worker's inline completion
+        takes: a request queued while a worker hands the connection back
+        is seen by exactly one of the two.
+        """
+        with connection.lock:
+            if connection.busy or connection.closed or not connection.pipeline:
+                return
+            request, close_after = connection.pipeline.popleft()
+            connection.busy = True
         self.core.dispatch(connection, request, close_after)
 
     def _refuse(self, connection: _Connection, error: ProtocolError) -> None:
@@ -387,6 +406,24 @@ class _EventLoop:
                 connection.stream = None
                 return True
             connection.outbuf.extend(chunk)
+
+    def _complete_inline_locked(self, connection: _Connection) -> bool:
+        """Finish a fully written response from the worker that wrote it.
+
+        Caller holds ``connection.lock``. True when the connection is idle
+        again with nothing for the loop to do; False leaves it ``busy``
+        and the caller schedules :meth:`_response_done`.
+        """
+        if (
+            connection.pipeline
+            or connection.eof
+            or connection.close_after
+            or not connection.reading
+        ):
+            return False
+        connection.busy = False
+        connection.last_activity = time.monotonic()
+        return True
 
     def _response_done(self, connection: _Connection) -> None:
         """Bookkeeping after a complete response hit the wire (loop thread)."""
@@ -482,6 +519,9 @@ class EventLoopCore:
         self._listener.bind((host, port))
         self._listener.listen(512)
         self._listener.setblocking(False)
+        #: Bound for good, so the address is read once (``base_url`` is
+        #: built from it on every request that advertises a URI).
+        self.host, self.port = self._listener.getsockname()[:2]
         self._loops = [
             _EventLoop(self, name=f"http-loop-{self.port}-{index}")
             for index in range(loop_threads)
@@ -492,14 +532,6 @@ class EventLoopCore:
         self._stopped = False
 
     # -------------------------------------------------------------- lifecycle
-
-    @property
-    def host(self) -> str:
-        return self._listener.getsockname()[0]
-
-    @property
-    def port(self) -> int:
-        return self._listener.getsockname()[1]
 
     @property
     def started(self) -> bool:
@@ -735,6 +767,8 @@ class EventLoopCore:
             connection.outbuf.extend(header)
             connection.stream = response.stream
             done = loop._send_backlog_locked(connection)
+            if done and loop._complete_inline_locked(connection):
+                return
         if done:
             loop.call_soon(lambda: loop._response_done(connection))
         elif not connection.closed:
@@ -768,6 +802,8 @@ class EventLoopCore:
                     loop.call_soon(lambda: loop._abort(connection, already_closed=True))
                     return
                 if sent == len(payload):
+                    if loop._complete_inline_locked(connection):
+                        return
                     direct_done = True
                 else:
                     connection.outbuf.extend(payload[sent:])

@@ -418,6 +418,47 @@ class ProtocolError(Exception):
         self.message = message
 
 
+def split_head(head: bytes) -> tuple[str, Headers]:
+    """Split one header block into its start line and parsed header fields.
+
+    ``head`` is everything before the blank line that ends the block. This
+    is the one place the ``name: value`` wire grammar lives: the server's
+    :class:`RequestParser` and the client transport's response reader both
+    call it, so both refuse the same malformed lines (no colon, empty
+    name, whitespace before or inside the name — which also rules out
+    obsolete line folding) with a 400-class :class:`ProtocolError`.
+    Leading blank lines are tolerated (RFC 9112 §2.2).
+    """
+    lines = head.decode("latin-1").split("\r\n")
+    first = 0
+    while first < len(lines) and not lines[first].strip():
+        first += 1
+    if first == len(lines):
+        raise ProtocolError(400, "empty message head")
+    headers = Headers()
+    for line in lines[first + 1 :]:
+        name, separator, value = line.partition(":")
+        if not separator or not name or name != name.strip() or " " in name:
+            raise ProtocolError(400, f"malformed header line: {line!r}")
+        headers.add(name, value.strip())
+    return lines[first], headers
+
+
+def closes_connection(version: str, headers: Headers) -> bool:
+    """Whether the message's sender will not reuse the connection after it.
+
+    HTTP/1.1 persists unless ``Connection: close``; HTTP/1.0 closes unless
+    ``Connection: keep-alive``.
+    """
+    connection = headers.get("Connection")
+    if connection is None:
+        return version == "HTTP/1.0"
+    tokens = {token.strip() for token in connection.lower().split(",")}
+    if version == "HTTP/1.0":
+        return "keep-alive" not in tokens
+    return "close" in tokens
+
+
 class RequestParser:
     """Incremental, feed-based HTTP/1.1 request parser.
 
@@ -500,6 +541,8 @@ class RequestParser:
                         )
                     completed.append((request, self._close_after))
                     self._state = "headers"
+                    if not self._buffer:
+                        break
         except ProtocolError:
             self._state = "error"
             raise
@@ -514,29 +557,13 @@ class RequestParser:
             return False
         head = bytes(self._buffer[:end])
         del self._buffer[: end + 4]
-        lines = head.split(b"\r\n")
-        # tolerate leading blank lines between pipelined requests (RFC 9112 §2.2)
-        while lines and not lines[0].strip():
-            lines.pop(0)
-        if not lines:
-            raise ProtocolError(400, "empty request")
-        try:
-            request_line = lines[0].decode("latin-1")
-        except UnicodeDecodeError as exc:  # pragma: no cover - latin-1 never fails
-            raise ProtocolError(400, "undecodable request line") from exc
+        request_line, headers = split_head(head)
         parts = request_line.split()
         if len(parts) != 3:
             raise ProtocolError(400, f"malformed request line: {request_line!r}")
         method, target, version = parts
         if not version.startswith("HTTP/1."):
             raise ProtocolError(400, f"unsupported protocol version {version!r}")
-        headers = Headers()
-        for raw in lines[1:]:
-            line = raw.decode("latin-1")
-            name, separator, value = line.partition(":")
-            if not separator or not name or name != name.strip() or " " in name:
-                raise ProtocolError(400, f"malformed header line: {line!r}")
-            headers.add(name, value.strip())
         transfer_encoding = (headers.get("Transfer-Encoding") or "").lower()
         if transfer_encoding and transfer_encoding != "identity":
             raise ProtocolError(
@@ -554,17 +581,11 @@ class RequestParser:
                 413,
                 f"request body of {length} bytes exceeds the {self.max_body_bytes}-byte limit",
             )
-        connection = (headers.get("Connection") or "").lower()
-        tokens = {token.strip() for token in connection.split(",")}
-        if version == "HTTP/1.0":
-            close_after = "keep-alive" not in tokens
-        else:
-            close_after = "close" in tokens
         self._method = method
         self._target = target
         self._headers = headers
         self._length = length
-        self._close_after = close_after
+        self._close_after = closes_connection(version, headers)
         self._spool = (
             BodySpool()
             if self.spill_threshold >= 0 and length > self.spill_threshold and length > 0

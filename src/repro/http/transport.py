@@ -10,14 +10,24 @@ the full request/response model including headers, status codes and bodies.
 
 from __future__ import annotations
 
-import http.client
+import io
+import re
+import socket
 import threading
 from collections import deque
 from typing import Mapping
 from urllib.parse import urlsplit
 
 from repro.http.app import RestApp
-from repro.http.messages import Headers, Request, Response
+from repro.http.messages import (
+    DEFAULT_MAX_HEADER_BYTES,
+    Headers,
+    ProtocolError,
+    Request,
+    Response,
+    closes_connection,
+    split_head,
+)
 
 
 class TransportError(Exception):
@@ -62,52 +72,274 @@ class Transport:
         return parts.scheme in self.schemes
 
 
-#: Socket errors that mean a *reused* keep-alive connection went stale
-#: (the server closed it between requests). Candidates for one replay on
-#: a fresh connection, subject to :func:`_replay_safe`.
+class BadResponse(Exception):
+    """The peer's bytes are not one well-framed HTTP/1.x response (garbage
+    in the head, a bad chunk size, a body cut short)."""
+
+
+class NoStatusLine(BadResponse):
+    """The reply does not begin with a status line — usually no byte at all
+    before EOF, which is how a keep-alive socket the server closed while it
+    sat in the pool shows itself."""
+
+
+#: Failures that mean a *reused* keep-alive connection went stale (the
+#: server closed it between requests). Candidates for one replay on a
+#: fresh connection, subject to :func:`_replay_safe`.
 _STALE_ERRORS = (
     ConnectionResetError,
     ConnectionAbortedError,
     BrokenPipeError,
-    http.client.BadStatusLine,
-    http.client.CannotSendRequest,
-    http.client.ResponseNotReady,
+    NoStatusLine,
 )
+
+#: Everything an exchange on an established connection can fail with.
+_EXCHANGE_ERRORS = (OSError, BadResponse, ProtocolError)
 
 #: Methods that may always be replayed after a stale-socket failure.
 _REPLAYABLE_METHODS = frozenset({"GET", "HEAD", "PUT", "DELETE", "OPTIONS", "TRACE"})
 
+#: Methods whose empty body is still announced with ``Content-Length: 0``.
+_BODY_METHODS = frozenset({"POST", "PUT", "PATCH"})
 
-def _replay_safe(method: str, headers: "Mapping[str, str] | None", exc: Exception) -> bool:
+#: One ``recv`` worth of bytes; small responses arrive whole.
+_RECV_SIZE = 65536
+
+#: Bodies above this are not assembled from ``recv``-sized pieces: a
+#: request body goes out in its own ``sendall`` instead of being joined to
+#: the head, a response body is received into one preallocated buffer.
+_LARGE_BODY = 65536
+
+#: A method, request-target or header name is visible ASCII, nothing else;
+#: a header value may not hold a control character other than a tab. CR and
+#: LF above all: they would let a caller-supplied string end its line and
+#: smuggle a second header or request.
+_NOT_VISIBLE = re.compile(r"[^\x21-\x7e]")
+_CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
+_HEX = re.compile(rb"[0-9a-fA-F]+")
+#: ``HTTP/1.x``, a three-digit status, an optional reason phrase.
+_STATUS_LINE = re.compile(r"(HTTP/1\.[0-9]) ([1-9][0-9]{2})(?: .*)?")
+
+
+def _replay_safe(method: str, headers: "Mapping[str, str] | None") -> bool:
     """Whether a stale-socket failure may be replayed on a fresh connection.
 
-    ``CannotSendRequest`` is raised before any bytes go out, so the server
-    provably never saw the request. Any later failure (reset during send or
-    ``getresponse``) is ambiguous — the server may have processed the
-    request and died before delivering the response — so only idempotent
-    methods, or requests the caller explicitly marked replayable with an
-    ``Idempotency-Key``, are retried transparently. Everything else
-    surfaces as :class:`TransportError` for the caller to arbitrate.
+    A reset or EOF after the request went out is ambiguous — the server
+    may have processed it and died before delivering the response — so
+    only idempotent methods, or requests the caller explicitly marked
+    replayable with an ``Idempotency-Key``, are retried transparently.
+    Everything else surfaces as :class:`TransportError` for the caller to
+    arbitrate.
     """
-    if isinstance(exc, http.client.CannotSendRequest):
-        return True
-    if method.upper() in _REPLAYABLE_METHODS:
+    if method in _REPLAYABLE_METHODS:
         return True
     return any(name.lower() == "idempotency-key" for name in (headers or {}))
 
 
+def _render_head(
+    method: str,
+    target: str,
+    authority: tuple[str, int],
+    headers: "Mapping[str, str] | None",
+    body_length: int,
+) -> bytes:
+    """The request line and header block, ending in the blank line.
+
+    Raises ``ValueError`` for a method, header name or value that could
+    break out of its line (CR, LF, other control characters; whitespace in
+    a method or name); the caller has checked ``target``. The head is
+    rendered before a connection is picked, so nothing of such a request
+    ever reaches a wire.
+    """
+    if not method or _NOT_VISIBLE.search(method):
+        raise ValueError(f"invalid HTTP method {method!r}")
+    lines = [f"{method} {target} HTTP/1.1"]
+    seen = set()
+    for name, value in (headers or {}).items():
+        value = str(value)
+        if not name or _NOT_VISIBLE.search(name) or ":" in name:
+            raise ValueError(f"invalid header name {name!r}")
+        if _CONTROL.search(value):
+            raise ValueError(f"invalid value for header {name!r}: {value!r}")
+        seen.add(name.lower())
+        lines.append(f"{name}: {value}")
+    if "host" not in seen:
+        host, port = authority
+        lines.append(f"Host: {host}" if port == 80 else f"Host: {host}:{port}")
+    if "content-length" not in seen and (body_length or method in _BODY_METHODS):
+        lines.append(f"Content-Length: {body_length}")
+    lines.append("\r\n")
+    return "\r\n".join(lines).encode("latin-1")
+
+
+class _RawSocket(io.RawIOBase):
+    """A socket's receiving side as a raw stream: ``readinto`` is
+    ``recv_into`` the caller's buffer."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:  # noqa: ANN001 - any writable buffer
+        return self._sock.recv_into(buffer)
+
+
+class ResponseReader:
+    """Incremental reader of one HTTP/1.x response off a blocking socket.
+
+    Speaks the three body framings a server may choose — ``Content-Length``,
+    ``Transfer-Encoding: chunked`` (trailers discarded) and, failing both,
+    everything up to EOF — skips interim 1xx responses, and knows the
+    replies that never carry a body (to HEAD, 204, 304). The header block
+    goes through the same :func:`~repro.http.messages.split_head` grammar
+    the server's request parser uses.
+
+    After :meth:`read`, ``reusable`` says whether the socket may carry
+    another exchange: the peer did not announce a close, the body was not
+    close-delimited and no byte beyond the response was received.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._buffer = b""
+        self.reusable = False
+
+    def read(self, bodiless: bool) -> Response:
+        """The next final response; ``bodiless`` when it answers a HEAD."""
+        while True:
+            status_line, headers = split_head(self._read_head())
+            match = _STATUS_LINE.fullmatch(status_line)
+            if match is None:
+                raise NoStatusLine(f"malformed status line: {status_line!r}")
+            status = int(match[2])
+            if status >= 200:
+                break
+        closing = closes_connection(match[1], headers)
+        if bodiless or status in (204, 304):
+            body = b""
+        else:
+            encoding = (headers.get("Transfer-Encoding") or "identity").lower()
+            length = headers.get("Content-Length")
+            if encoding == "chunked":
+                body = self._read_chunked()
+            elif encoding != "identity":
+                raise BadResponse(f"transfer encoding {encoding!r} is not supported")
+            elif length is not None:
+                if not (length.isascii() and length.isdigit()):
+                    raise BadResponse(f"invalid Content-Length {length!r}")
+                body = self._read_exact(int(length))
+            else:
+                body = self._read_to_eof()
+                closing = True
+        self.reusable = not closing and not self._buffer
+        return Response(status=status, headers=headers, body=body)
+
+    def _fill(self) -> bool:
+        """Receive once into the buffer; False at EOF."""
+        data = self._sock.recv(_RECV_SIZE)
+        self._buffer = self._buffer + data if self._buffer else data
+        return bool(data)
+
+    def _read_head(self) -> bytes:
+        searched = 0
+        while True:
+            end = self._buffer.find(b"\r\n\r\n", searched)
+            if end >= 0:
+                head = self._buffer[:end]
+                self._buffer = self._buffer[end + 4 :]
+                return head
+            if len(self._buffer) > DEFAULT_MAX_HEADER_BYTES:
+                raise BadResponse("response header block too large")
+            searched = max(0, len(self._buffer) - 3)
+            if not self._fill():
+                if not self._buffer:
+                    raise NoStatusLine("connection closed before any response byte")
+                raise BadResponse("connection closed inside the response head")
+
+    def _read_exact(self, length: int) -> bytes:
+        if length > _LARGE_BODY and len(self._buffer) < length:
+            # BufferedReader.read(n) allocates its result once and has the
+            # socket fill it in place (no list of pieces to join); with a
+            # block size of 1 it asks for exactly what is missing and
+            # leaves any surplus byte on the socket
+            missing = length - len(self._buffer)
+            rest = io.BufferedReader(_RawSocket(self._sock), buffer_size=1).read(missing)
+            if len(rest) < missing:
+                raise BadResponse(
+                    f"body cut short: {len(self._buffer) + len(rest)} of {length} bytes"
+                )
+            body = self._buffer + rest
+            self._buffer = b""
+            return body
+        while len(self._buffer) < length:
+            if not self._fill():
+                raise BadResponse(f"body cut short: {len(self._buffer)} of {length} bytes")
+        body = self._buffer[:length]
+        self._buffer = self._buffer[length:]
+        return body
+
+    def _read_line(self) -> bytes:
+        while True:
+            end = self._buffer.find(b"\r\n")
+            if end >= 0:
+                line = self._buffer[:end]
+                self._buffer = self._buffer[end + 2 :]
+                return line
+            if len(self._buffer) > DEFAULT_MAX_HEADER_BYTES:
+                raise BadResponse("chunk header or trailer line too long")
+            if not self._fill():
+                raise BadResponse("connection closed inside a chunked body")
+
+    def _read_chunked(self) -> bytes:
+        pieces = []
+        while True:
+            size_text = self._read_line().partition(b";")[0].strip()
+            if not _HEX.fullmatch(size_text):
+                raise BadResponse(f"invalid chunk size {size_text!r}")
+            size = int(size_text, 16)
+            if not size:
+                break
+            pieces.append(self._read_exact(size))
+            if self._read_line():
+                raise BadResponse("chunk data not followed by CRLF")
+        while self._read_line():
+            pass  # trailer fields are discarded
+        return b"".join(pieces)
+
+    def _read_to_eof(self) -> bytes:
+        pieces = [self._buffer]
+        self._buffer = b""
+        while True:
+            data = self._sock.recv(_RECV_SIZE)
+            if not data:
+                return b"".join(pieces)
+            pieces.append(data)
+
+
 class HttpTransport(Transport):
-    """Carries requests over TCP using the standard library HTTP client.
+    """Carries requests over TCP with a small native HTTP/1.1 client.
+
+    A request goes out as one ``sendall`` (head and body together unless
+    the body is large); the reply is read by :class:`ResponseReader`,
+    which understands ``Content-Length``, ``chunked`` and close-delimited
+    bodies. ``timeout`` bounds every socket operation (connect, send,
+    each receive) on its own.
 
     Connections are kept alive and pooled per ``(host, port)``: sequential
     requests to the same authority reuse one socket instead of paying a TCP
     handshake each (the gateway's health probes and retries hit the same
-    replicas continuously). Each pooled connection is used by one thread at
+    replicas continuously). Each pooled socket is used by one thread at
     a time; the pool itself is lock-protected, so the transport stays
-    shareable across threads. A request sent on a reused socket that turns
-    out to be stale is transparently replayed once on a fresh connection —
-    but only when the replay provably cannot duplicate work (idempotent
-    method, ``Idempotency-Key`` present, or the failure preceded the send).
+    shareable across threads. A socket goes back to the pool only after a
+    complete response that did not announce a close (``Connection: close``,
+    HTTP/1.0 without ``keep-alive``), whose end the framing marked (not
+    EOF) and behind which no surplus byte was received; any error closes
+    it. A request sent on a reused socket that turns out to be stale is
+    transparently replayed once on a fresh connection — but only when the
+    replay provably cannot duplicate work (idempotent method or
+    ``Idempotency-Key`` present).
     """
 
     schemes = ("http",)
@@ -118,7 +350,7 @@ class HttpTransport(Transport):
         #: Max idle connections kept per (host, port).
         self.pool_size = pool_size
         self._lock = threading.Lock()
-        self._pool: dict[tuple[str, int], deque[http.client.HTTPConnection]] = {}
+        self._pool: dict[tuple[str, int], deque[socket.socket]] = {}
 
     def request(
         self,
@@ -133,25 +365,30 @@ class HttpTransport(Transport):
         target = parts.path or "/"
         if parts.query:
             target += "?" + parts.query
+        if _NOT_VISIBLE.search(target):
+            raise TransportError(
+                f"{method} {url!r} failed: a request target cannot contain"
+                " control characters, spaces or non-ASCII characters"
+            )
         authority = (parts.hostname or "", parts.port or 80)
-        connection, reused = self._acquire(authority)
+        method = method.upper()
+        head = _render_head(method, target, authority, headers, len(body))
+        sock, reused = self._acquire(authority)
         try:
-            return self._send(connection, authority, method, target, headers, body)
+            return self._exchange(sock, authority, method, head, body)
         except _STALE_ERRORS as exc:
-            connection.close()
-            if not reused or not _replay_safe(method, headers, exc):
+            sock.close()
+            if not reused or not _replay_safe(method, headers):
                 raise TransportError(f"{method} {url} failed: {exc}") from exc
             # the pooled socket died between requests; replay on a fresh one
-            connection, _ = self._acquire(authority, fresh=True)
+            sock, _ = self._acquire(authority, fresh=True)
             try:
-                return self._send(connection, authority, method, target, headers, body)
-            except (OSError, http.client.HTTPException) as retry_exc:
-                connection.close()
+                return self._exchange(sock, authority, method, head, body)
+            except _EXCHANGE_ERRORS as retry_exc:
+                sock.close()
                 raise TransportError(f"{method} {url} failed: {retry_exc}") from retry_exc
-        except ConnectError:
-            raise
-        except (OSError, http.client.HTTPException) as exc:
-            connection.close()
+        except _EXCHANGE_ERRORS as exc:
+            sock.close()
             raise TransportError(f"{method} {url} failed: {exc}") from exc
 
     def close(self) -> None:
@@ -159,61 +396,60 @@ class HttpTransport(Transport):
         with self._lock:
             pools, self._pool = self._pool, {}
         for idle in pools.values():
-            for connection in idle:
-                connection.close()
+            for sock in idle:
+                sock.close()
 
     # ----------------------------------------------------------- internals
 
     def _acquire(
         self, authority: tuple[str, int], fresh: bool = False
-    ) -> tuple[http.client.HTTPConnection, bool]:
-        """A connection for ``authority``: pooled when available, else new.
+    ) -> tuple[socket.socket, bool]:
+        """A connected socket for ``authority``: pooled when available, else new.
 
-        Returns ``(connection, reused)``; a new connection is connected
-        eagerly so establishment failures surface as :class:`ConnectError`.
+        Returns ``(socket, reused)``; establishment failures surface as
+        :class:`ConnectError`.
         """
         if self.keep_alive and not fresh:
             with self._lock:
                 idle = self._pool.get(authority)
                 if idle:
                     return idle.pop(), True
-        connection = http.client.HTTPConnection(authority[0], authority[1], timeout=self.timeout)
         try:
-            connection.connect()
+            sock = socket.create_connection(authority, timeout=self.timeout)
         except OSError as exc:
-            connection.close()
             raise ConnectError(f"cannot connect to {authority[0]}:{authority[1]}: {exc}") from exc
-        return connection, False
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock, False
 
-    def _release(self, authority: tuple[str, int], connection: http.client.HTTPConnection) -> None:
-        if not self.keep_alive:
-            connection.close()
-            return
-        with self._lock:
-            idle = self._pool.setdefault(authority, deque())
-            if len(idle) < self.pool_size:
-                idle.append(connection)
-                return
-        connection.close()
+    def _release(self, authority: tuple[str, int], sock: socket.socket) -> None:
+        if self.keep_alive:
+            with self._lock:
+                idle = self._pool.setdefault(authority, deque())
+                if len(idle) < self.pool_size:
+                    idle.append(sock)
+                    return
+        sock.close()
 
-    def _send(
+    def _exchange(
         self,
-        connection: http.client.HTTPConnection,
+        sock: socket.socket,
         authority: tuple[str, int],
         method: str,
-        target: str,
-        headers: Mapping[str, str] | None,
+        head: bytes,
         body: bytes,
     ) -> Response:
-        connection.request(method.upper(), target, body=body or None, headers=dict(headers or {}))
-        raw = connection.getresponse()
-        response = Response(status=raw.status, body=raw.read())
-        for name, value in raw.getheaders():
-            response.headers.add(name, value)
-        if raw.will_close:
-            connection.close()
+        """One request/response on ``sock``, which is pooled again or closed."""
+        if len(body) <= _LARGE_BODY:
+            sock.sendall(head + body)
         else:
-            self._release(authority, connection)
+            sock.sendall(head)
+            sock.sendall(body)
+        reader = ResponseReader(sock)
+        response = reader.read(bodiless=method == "HEAD")
+        if reader.reusable:
+            self._release(authority, sock)
+        else:
+            sock.close()
         return response
 
 

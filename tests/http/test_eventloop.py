@@ -8,6 +8,7 @@ well-behaved client library hides.
 
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -34,6 +35,14 @@ def ping_app() -> RestApp:
     return app
 
 
+def content_length(head: bytes) -> int:
+    for line in head.split(b"\r\n")[1:]:
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            return int(value.strip())
+    return 0
+
+
 def recv_response(sock: socket.socket, timeout: float = 5.0) -> bytes:
     """Read exactly one framed HTTP response off ``sock``.
 
@@ -47,11 +56,7 @@ def recv_response(sock: socket.socket, timeout: float = 5.0) -> bytes:
         if not byte:
             return head
         head += byte
-    length = 0
-    for line in head.split(b"\r\n")[1:]:
-        name, _, value = line.partition(b":")
-        if name.strip().lower() == b"content-length":
-            length = int(value.strip())
+    length = content_length(head)
     body = b""
     while len(body) < length:
         chunk = sock.recv(length - len(body))
@@ -472,4 +477,125 @@ class TestLifecycle:
                 sock.close()
             assert server.connections_accepted == 64
         finally:
+            server.stop()
+
+
+class BufferedResponses:
+    """Framed responses off one socket, without a syscall per byte."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._data = b""
+
+    def next_body(self) -> bytes:
+        while True:
+            head, separator, rest = self._data.partition(b"\r\n\r\n")
+            if separator:
+                length = content_length(head)
+                if len(rest) >= length:
+                    assert head.startswith(b"HTTP/1.1 200"), head
+                    self._data = rest[length:]
+                    return rest[:length]
+            received = self._sock.recv(65536)
+            assert received, "server closed the connection mid-run"
+            self._data += received
+
+
+def echo_request(number: int) -> bytes:
+    body = b'{"n": %d}' % number
+    return (
+        b"POST /echo HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+        b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+    )
+
+
+class TestInlineCompletion:
+    """The worker that wrote a response hands the connection back itself."""
+
+    def test_plain_keep_alive_exchange_never_wakes_the_loop(self, server):
+        [loop] = server._core._loops
+        wakes = []
+        original = loop.wake
+        loop.wake = lambda: (wakes.append(1), original())
+        with socket.create_connection((server.host, server.port)) as sock:
+            sock.sendall(b"GET /ping HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert recv_response(sock).startswith(b"HTTP/1.1 200")  # accepted, warm
+            del wakes[:]
+            for _ in range(50):
+                sock.sendall(b"GET /ping HTTP/1.1\r\nHost: x\r\n\r\n")
+                assert recv_response(sock).startswith(b"HTTP/1.1 200")
+            assert wakes == []
+            # a pipelined successor is the loop's to dispatch: that does wake it
+            sock.sendall(b"GET /ping HTTP/1.1\r\nHost: x\r\n\r\n" * 2)
+            assert recv_response(sock).startswith(b"HTTP/1.1 200")
+            assert recv_response(sock).startswith(b"HTTP/1.1 200")
+            assert wakes
+
+    def test_request_parsed_during_the_hand_back_is_dispatched(self, server):
+        # force the schedule the lock exists for: the next request reaches
+        # the loop after the worker found the pipeline empty and before it
+        # cleared ``busy``
+        [loop] = server._core._loops
+        ping = b"GET /ping HTTP/1.1\r\nHost: x\r\n\r\n"
+        with socket.create_connection((server.host, server.port)) as sock:
+            sock.sendall(ping)
+            assert recv_response(sock).startswith(b"HTTP/1.1 200")
+            [connection] = loop.connections
+
+            class RacingPipeline(type(connection.pipeline)):
+                armed = True
+
+                def __len__(self):
+                    length = super().__len__()
+                    if self.armed and threading.current_thread() is not loop.thread:
+                        # the worker's emptiness check, under connection.lock
+                        type(self).armed = False
+                        sock.sendall(ping)
+                        time.sleep(0.2)  # the loop has the request by now
+                    return length
+
+            connection.pipeline = RacingPipeline()
+            sock.sendall(ping)
+            assert recv_response(sock).startswith(b"HTTP/1.1 200")
+            assert not RacingPipeline.armed
+            assert recv_response(sock, timeout=3.0).startswith(b"HTTP/1.1 200")
+
+    def test_singles_and_deep_pipelines_never_strand_a_request(self):
+        # a request parsed while the previous response's worker clears
+        # ``busy`` is dispatched by exactly one of the two — which only
+        # holds because both sides do it under connection.lock
+        clients, rounds, depth = 8, 30, 16
+        server = RestServer(ping_app(), handler_threads=4).start()
+        failures: list[BaseException] = []
+
+        def client(index: int) -> None:
+            try:
+                with socket.create_connection((server.host, server.port)) as sock:
+                    sock.settimeout(20.0)
+                    responses = BufferedResponses(sock)
+                    number = index * 1_000_000
+                    for _ in range(rounds):
+                        sock.sendall(echo_request(number))
+                        assert json.loads(responses.next_body()) == {"echo": {"n": number}}
+                        number += 1
+                        sock.sendall(b"".join(echo_request(number + i) for i in range(depth)))
+                        for i in range(depth):
+                            assert json.loads(responses.next_body()) == {"echo": {"n": number + i}}
+                        number += depth
+            except BaseException as error:  # noqa: BLE001 - reported by the main thread
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads), "a request was stranded"
+            assert failures == []
+            assert server.connections_accepted == clients
+        finally:
+            sys.setswitchinterval(interval)
             server.stop()
