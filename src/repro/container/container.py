@@ -140,8 +140,8 @@ class ServiceContainer:
     def serve(self, host: str = "127.0.0.1", port: int = 0, **server_options: object) -> RestServer:
         """Expose the container over TCP; returns the running server.
 
-        Extra keyword arguments (``server_impl``, ``idle_timeout``,
-        ``max_body_bytes``, …) are forwarded to :class:`RestServer`.
+        Extra keyword arguments (``idle_timeout``, ``max_body_bytes``,
+        ``handler_threads``, …) are forwarded to :class:`RestServer`.
         """
         if self._server is not None:
             raise RuntimeError("container is already serving")

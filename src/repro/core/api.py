@@ -266,7 +266,7 @@ def mount_service(
     def get_job(request: Request, job_id: str) -> Response:
         """Job status; ``?wait=<seconds>`` turns the GET into a long-poll.
 
-        On a blocking transport (threaded server, local transport) the
+        On a blocking transport (the local transport) the
         handler blocks on the job's condition variable until the first
         terminal transition (answering in the same round-trip) or until
         the wait expires (answering with the current representation). On

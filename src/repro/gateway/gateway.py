@@ -25,7 +25,7 @@ import json
 import logging
 import threading
 import time
-from typing import Any
+from typing import Any, Callable
 from urllib.parse import urlencode
 
 from repro.cache import routing_hint
@@ -84,6 +84,14 @@ _FORWARDED_RESPONSE_HEADERS = (
     "ETag",
     X_CACHE_HEADER,
 )
+
+
+#: How one forward attempt ended (also the ``outcome`` label of
+#: ``mc_gateway_forward_attempts_total``).
+OK = "ok"
+SERVER_ERROR = "server-error"
+CONNECT_ERROR = "connect-error"
+TRANSPORT_ERROR = "transport-error"
 
 
 class ServiceGateway:
@@ -454,14 +462,16 @@ class ServiceGateway:
         return Response.json(gateway_status(self))
 
     def _index(self, request: Request) -> Response:
-        replica, response = self._forward_any("GET", "/services", request)
+        replica, response = self._forward("GET", "/services", request, _next_unless_answered)
         document = rewrite_tree(response.json_body, replica, self.base_uri)
         if isinstance(document, dict):
             document["gateway"] = self.name
         return Response.json(document, status=response.status)
 
     def _describe(self, request: Request, name: str) -> Response:
-        replica, response = self._forward_any("GET", f"/services/{name}", request)
+        replica, response = self._forward(
+            "GET", f"/services/{name}", request, _next_unless_answered
+        )
         if not response.ok:
             return self._proxied(response)
         document = rewrite_tree(response.json_body, replica, self.base_uri)
@@ -470,26 +480,25 @@ class ServiceGateway:
     def _submit(self, request: Request, name: str) -> Response:
         idempotency_key = request.headers.get(IDEMPOTENCY_KEY_HEADER)
         if not idempotency_key:
-            return self._submit_attempts(request, name, None)
+            return self._forward_submit(request, name, None)
         # reserve the key before forwarding, so a concurrent duplicate waits
         # for this attempt's outcome instead of racing it into a second job
         owner, cached = self.idempotency.reserve(idempotency_key)
         if cached is not None:
             return cached
         if not owner:
-            return self._unavailable(
+            raise self._unavailable_error(
                 503,
                 f"a request with Idempotency-Key {idempotency_key!r} is still in flight",
             )
         try:
-            return self._submit_attempts(request, name, idempotency_key)
+            return self._forward_submit(request, name, idempotency_key)
         finally:
             # no-op when the attempt stored its response; otherwise hands
             # the reservation to a waiting duplicate
             self.idempotency.release(idempotency_key)
 
-    def _submit_attempts(self, request: Request, name: str, idempotency_key: str | None) -> Response:
-        headers = self._forward_headers(request)
+    def _forward_submit(self, request: Request, name: str, idempotency_key: str | None) -> Response:
         # key selection by submission *content*: a consistent-hash policy
         # then lands identical work on the replica whose result cache most
         # likely already holds it (correctness never depends on this —
@@ -497,118 +506,95 @@ class ServiceGateway:
         # body_bytes, not body: a large submission may have been spilled to
         # a spool by the HTTP core, leaving request.body empty
         body = request.body_bytes
-        balance_key = routing_hint(name, body)
-        tried: set[str] = set()
-        saturated = False
-        bound_unavailable = False
-        attempts = 0
-        while attempts < self.max_attempts:
-            # spend the retry token before selecting, so an aborted retry
-            # cannot leak the half-open probe permit `_select` may consume
-            if attempts > 0 and not self.retry_budget.try_spend():
-                logger.warning("gateway %s: retry budget exhausted for POST %s", self.name, name)
-                break
-            replica = None
-            if idempotency_key:
-                replica, bound = self._bound_replica(idempotency_key)
-                if bound and replica is None:
-                    bound_unavailable = True
-                    break
-            if replica is None:
-                replica, reason = self._select(tried, balance_key)
-                if replica is None:
-                    saturated = saturated or reason == "saturated"
-                    break
-            attempts += 1
-            try:
-                with span("gateway.forward", labels={"replica": replica.id, "service": name}):
-                    # recompute the trace header inside the span, so the
-                    # replica's spans parent under this forward attempt
-                    attempt_headers = dict(headers)
-                    attempt_headers.update(trace_headers())
-                    response = self.registry.request(
-                        "POST",
-                        f"{replica.base_url}/services/{name}",
-                        headers=attempt_headers,
-                        body=body,
-                    )
-            except ConnectError as exc:
-                self._count_forward("connect-error")
-                # nothing reached the replica: safe to try another — unless
-                # an earlier ambiguous failure bound the key to this one, in
-                # which case only this replica may be retried
-                replica.breaker.record_failure()
-                if not idempotency_key or self.idempotency.binding(idempotency_key) != replica.id:
-                    tried.add(replica.id)
-                logger.info("gateway %s: POST %s connect failure on %s: %s", self.name, name, replica.id, exc)
-                continue
-            except TransportError as exc:
-                self._count_forward("transport-error")
-                replica.breaker.record_failure()
-                if idempotency_key is None:
-                    # the replica may have processed the request; replaying
-                    # without a key could create a duplicate job
-                    raise HttpError(
-                        502,
-                        f"connection to replica {replica.id} failed mid-request: {exc}",
-                        details={"hint": "supply an Idempotency-Key to make POSTs replayable"},
-                    ) from exc
-                # ambiguous: the replica may own this key's job now, so pin
-                # every further attempt (this request and later client
-                # retries) to it — its idempotency ledger deduplicates
-                self.idempotency.bind(idempotency_key, replica.id)
-                logger.info(
-                    "gateway %s: POST %s mid-request failure on %s, replaying there", self.name, name, replica.id
-                )
-                continue
-            finally:
-                replica.release_slot()
-            if response.status >= 500:
-                self._count_forward("server-error")
-                replica.breaker.record_failure()
-                if idempotency_key is None:
-                    tried.add(replica.id)
-                    return self._proxied(response)
-                if response.status == 503 and self.idempotency.binding(idempotency_key) == replica.id:
-                    # the bound replica is alive but cannot answer for this
-                    # key yet (its submit ledger may hold an in-flight first
-                    # attempt) — keep the binding and tell the client to
-                    # retry later; trying elsewhere could mint a duplicate
-                    bound_unavailable = True
-                    break
-                # any other 5xx: the replica answered and provably owns no
-                # job for this key — lift the binding and try others
-                tried.add(replica.id)
-                self.idempotency.unbind(idempotency_key)
-                continue
-            self._count_forward("ok")
-            replica.breaker.record_success()
-            if attempts == 1:
-                self.retry_budget.deposit()
-            if response.status == 429 and self.tenant_gate is not None:
-                self._note_replica_shed(response)
-            rewritten = self._rewrite_submit(response, replica)
-            if idempotency_key and response.ok:
-                self.idempotency.put(idempotency_key, replica.id, rewritten)
-            return rewritten
-        if bound_unavailable:
-            return self._unavailable(
-                503,
-                f"the replica bound to Idempotency-Key {idempotency_key!r} is unavailable; retry later",
+        replica, response = self._forward(
+            "POST",
+            f"/services/{name}",
+            request,
+            self._submit_verdict,
+            key=routing_hint(name, body),
+            body=body,
+            idempotency_key=idempotency_key,
+            limit=self.max_attempts,
+            budget=self.retry_budget,
+        )
+        if response.status >= 500:
+            # only an unkeyed submit gets here: the replica's own answer
+            return self._proxied(response)
+        if response.status == 429 and self.tenant_gate is not None:
+            self._note_replica_shed(response)
+        rewritten = self._rewrite_submit(response, replica)
+        if idempotency_key and response.ok:
+            self.idempotency.put(idempotency_key, replica.id, rewritten)
+        return rewritten
+
+    def _submit_verdict(
+        self,
+        replica: Replica,
+        outcome: str,
+        result: "Response | TransportError",
+        attempt: int,
+        idempotency_key: str | None,
+    ) -> bool:
+        """Whether a submit attempt that ended this way goes to another
+        candidate (the Idempotency-Key rules); False answers the client."""
+        self._count_forward(outcome)
+        if outcome == CONNECT_ERROR:
+            # nothing reached the replica: safe to try another — unless
+            # an earlier ambiguous failure bound the key to this one, in
+            # which case the binding keeps choosing it
+            logger.info(
+                "gateway %s: POST connect failure on %s: %s", self.name, replica.id, result
             )
-        if saturated:
-            return self._unavailable(429, f"all replicas of {self.name!r} are at capacity")
-        return self._unavailable(503, f"no replica of {self.name!r} can take the request")
+            return True
+        if outcome == TRANSPORT_ERROR:
+            if idempotency_key is None:
+                # the replica may have processed the request; replaying
+                # without a key could create a duplicate job
+                raise HttpError(
+                    502,
+                    f"connection to replica {replica.id} failed mid-request: {result}",
+                    details={"hint": "supply an Idempotency-Key to make POSTs replayable"},
+                ) from result
+            # ambiguous: the replica may own this key's job now, so pin
+            # every further attempt (this request and later client
+            # retries) to it — its idempotency ledger deduplicates
+            self.idempotency.bind(idempotency_key, replica.id)
+            logger.info(
+                "gateway %s: POST mid-request failure on %s, replaying there", self.name, replica.id
+            )
+            return True
+        if outcome == SERVER_ERROR:
+            if idempotency_key is None:
+                return False
+            if result.status == 503 and self.idempotency.binding(idempotency_key) == replica.id:
+                # the bound replica is alive but cannot answer for this
+                # key yet (its submit ledger may hold an in-flight first
+                # attempt) — keep the binding and tell the client to
+                # retry later; trying elsewhere could mint a duplicate
+                raise self._bound_unavailable(idempotency_key)
+            # any other 5xx: the replica answered and provably owns no
+            # job for this key — lift the binding and try others
+            self.idempotency.unbind(idempotency_key)
+            return True
+        if attempt == 0:
+            self.retry_budget.deposit()
+        return False
 
     def _count_forward(self, outcome: str) -> None:
         if self._forward_attempts is not None:
             self._forward_attempts.labels(outcome).inc()
 
-    def _bound_replica(self, key: str) -> "tuple[Replica | None, bool]":
-        """The replica ``key`` is pinned to, with its in-flight slot held.
+    def _bound_unavailable(self, idempotency_key: str) -> HttpError:
+        return self._unavailable_error(
+            503,
+            f"the replica bound to Idempotency-Key {idempotency_key!r} is unavailable; retry later",
+        )
 
-        Returns ``(replica, bound)``: ``(None, False)`` when the key is
-        unbound (normal selection applies), ``(None, True)`` when it is
+    def _bound_replica(self, key: str) -> "tuple[Replica | None, str | None]":
+        """The replica ``key`` is pinned to, admitted.
+
+        Returns ``(replica, refusal)``: ``(None, None)`` when the key is
+        unbound (normal selection applies), ``(None, "bound")`` when it is
         bound but the replica cannot take the request right now — the
         caller must answer 503 rather than risk a duplicate elsewhere. A
         binding to a *retired* replica follows the handoff chain — the
@@ -620,25 +606,24 @@ class ServiceGateway:
         """
         bound_id = self.idempotency.binding(key)
         if bound_id is None:
-            return None, False
+            return None, None
         replica = self.replicas.get(bound_id)
         if replica is None:
             successor_id = self.handoffs.resolve(bound_id)
             replica = self.replicas.get(successor_id) if successor_id is not None else None
             if replica is None:
                 self.idempotency.unbind(key)
-                return None, False
+                return None, None
             self.idempotency.bind(key, replica.id)
-        if replica.state is ReplicaState.DOWN or not replica.acquire_slot():
-            return None, True
-        if not replica.breaker.allow():
-            replica.release_slot()
-            return None, True
-        return replica, True
+        if replica.state is ReplicaState.DOWN or self._admit(replica) is not None:
+            return None, "bound"
+        return replica, None
 
     def _get_job(self, request: Request, name: str, job_id: str) -> Response:
         replica, raw_id = self._pin(job_id)
-        response = self._forward_pinned(replica, "GET", f"/services/{name}/jobs/{raw_id}", request)
+        _, response = self._forward(
+            "GET", f"/services/{name}/jobs/{raw_id}", request, _answer, pinned=replica
+        )
         if not response.ok:
             # includes 304 Not Modified: body-free, ETag passes through
             return self._proxied(response)
@@ -653,7 +638,9 @@ class ServiceGateway:
 
     def _delete_job(self, request: Request, name: str, job_id: str) -> Response:
         replica, raw_id = self._pin(job_id)
-        response = self._forward_pinned(replica, "DELETE", f"/services/{name}/jobs/{raw_id}", request)
+        _, response = self._forward(
+            "DELETE", f"/services/{name}/jobs/{raw_id}", request, _answer, pinned=replica
+        )
         return self._proxied(response)
 
     def _get_trace(self, request: Request, name: str, job_id: str) -> Response:
@@ -664,8 +651,8 @@ class ServiceGateway:
         here yields the complete gateway → replica → adapter tree.
         """
         replica, raw_id = self._pin(job_id)
-        response = self._forward_pinned(
-            replica, "GET", f"/services/{name}/jobs/{raw_id}/trace", request
+        _, response = self._forward(
+            "GET", f"/services/{name}/jobs/{raw_id}/trace", request, _answer, pinned=replica
         )
         if not response.ok:
             return self._proxied(response)
@@ -683,8 +670,9 @@ class ServiceGateway:
 
     def _get_file(self, request: Request, name: str, job_id: str, file_id: str) -> Response:
         replica, raw_id = self._pin(job_id)
-        response = self._forward_pinned(
-            replica, "GET", f"/services/{name}/jobs/{raw_id}/files/{file_id}", request
+        _, response = self._forward(
+            "GET", f"/services/{name}/jobs/{raw_id}/files/{file_id}", request, _answer,
+            pinned=replica,
         )
         return self._proxied(response)
 
@@ -696,21 +684,15 @@ class ServiceGateway:
         the replica's chunk store actually triggers.
         """
         digest: str | None = None
-        replica: Replica | None = None
+        pinned: Replica | None = None
         if ref is not None:
             replica_id, digest = decode_blob_ref(ref)
             if replica_id is not None:
-                replica = self._pin_replica(replica_id)
-        if replica is None:
-            replica, reason = self._select(set(), digest)
-            if replica is None:
-                if reason == "saturated":
-                    return self._unavailable(429, f"all replicas of {self.name!r} are at capacity")
-                return self._unavailable(503, f"no replica of {self.name!r} can take the upload")
-            # _forward_pinned manages its own slot; release the one _select held
-            replica.release_slot()
+                pinned = self._pin_replica(replica_id)
         method, path = ("PUT", f"/blobs/{digest}") if digest is not None else ("POST", "/blobs")
-        response = self._forward_pinned(replica, method, path, request, body=request.body_bytes)
+        replica, response = self._forward(
+            method, path, request, _answer, pinned=pinned, key=digest, body=request.body_bytes
+        )
         if not response.ok:
             return self._proxied(response)
         document = rewrite_tree(response.json_body, replica, self.base_uri)
@@ -730,15 +712,133 @@ class ServiceGateway:
     def _blob_response(self, request: Request, ref: str, suffix: str) -> Response:
         """Fetch a blob resource: pinned when the ref carries a replica
         prefix, otherwise resolved by content — any replica holding the
-        digest may answer, so 404s fall through to the next one."""
+        digest may answer, and the digest key steers a consistent-hash
+        policy to the likeliest holder first."""
         replica_id, digest = decode_blob_ref(ref)
         path = f"/blobs/{digest}{suffix}"
         if replica_id is not None:
-            return self._forward_pinned(self._pin_replica(replica_id), "GET", path, request)
-        _, response = self._forward_blob_any("GET", path, request, key=digest)
-        return response
+            pinned = self._pin_replica(replica_id)
+            return self._forward("GET", path, request, _answer, pinned=pinned)[1]
+        return self._forward("GET", path, request, _next_unless_found, key=digest)[1]
 
     # ----------------------------------------------------------- forwarding
+
+    def _forward(
+        self,
+        method: str,
+        path: str,
+        request: Request,
+        verdict: "Callable[[Replica, str, Any, int, str | None], bool]",
+        *,
+        pinned: Replica | None = None,
+        key: str | None = None,
+        body: bytes = b"",
+        idempotency_key: str | None = None,
+        limit: int | None = None,
+        budget: RetryBudget | None = None,
+    ) -> tuple[Replica, Response]:
+        """The one way a request reaches a replica: the candidate loop.
+
+        Each turn admits one candidate — ``pinned`` if given, else the
+        replica ``idempotency_key`` is bound to, else the balancing
+        policy's pick for ``key`` — sends to it once, and asks ``verdict``
+        whether that outcome goes to the next candidate (True) or is the
+        client's answer. At most ``limit`` sends (default: one per
+        replica); every send after the first spends a ``budget`` token.
+        An answer that is a transport failure becomes 502; running out of
+        candidates becomes 404, 429 or 503 + ``Retry-After``.
+        """
+        headers = self._forward_headers(request)
+        tail = path + "?" + urlencode(request.query) if request.query else path
+        tried: set[str] = set()
+        attempt = missing = 0
+        while True:
+            replica = refusal = None
+            if pinned is not None:
+                refusal = self._admit(pinned)
+                replica = pinned if refusal is None else None
+            else:
+                if idempotency_key:
+                    replica, refusal = self._bound_replica(idempotency_key)
+                if replica is None and refusal is None:
+                    replica, refusal = self._select(tried, key)
+            if replica is None:
+                break
+            outcome, result = self._send(replica, method, replica.base_url + tail, headers, body, path)
+            if not verdict(replica, outcome, result, attempt, idempotency_key):
+                if outcome in (CONNECT_ERROR, TRANSPORT_ERROR):
+                    raise HttpError(502, f"replica {replica.id!r} unreachable: {result}") from result
+                return replica, result
+            tried.add(replica.id)
+            if outcome == OK:
+                missing += 1
+            attempt += 1
+            if limit is None:
+                limit = max(1, len(self.replicas))
+            if attempt >= limit:
+                break
+            # spend the retry token before admitting anyone, so an aborted
+            # retry cannot hold a half-open probe permit
+            if budget is not None and not budget.try_spend():
+                logger.warning("gateway %s: retry budget exhausted for %s %s", self.name, method, path)
+                break
+        if missing and missing == limit:
+            # content-addressed: absent only once every member said so
+            raise HttpError(404, f"no replica of {self.name!r} holds this blob")
+        if refusal == "bound":
+            raise self._bound_unavailable(idempotency_key)
+        if refusal == "saturated":
+            whom = f"replica {pinned.id!r} is" if pinned is not None else f"all replicas of {self.name!r} are"
+            raise self._unavailable_error(429, f"{whom} at capacity")
+        if refusal == "open":
+            raise self._unavailable_error(
+                503,
+                f"replica {pinned.id!r} circuit is open",
+                retry_after=max(self.retry_after_hint, pinned.breaker.retry_after()),
+            )
+        raise self._unavailable_error(503, f"no replica of {self.name!r} can take the request")
+
+    def _admit(self, replica: Replica) -> str | None:
+        """Take ``replica``'s in-flight slot, then its breaker's permit.
+
+        The only place either is taken, so a request is admitted exactly
+        once. None means admitted — the caller owes one :meth:`_send`,
+        which gives the slot back and tells the breaker how it went;
+        otherwise the refusal (``saturated`` / ``open``), nothing held.
+        """
+        if not replica.acquire_slot():
+            return "saturated"
+        if not replica.breaker.allow():
+            replica.release_slot()
+            return "open"
+        return None
+
+    def _send(
+        self, replica: Replica, method: str, url: str, headers: dict[str, str], body: bytes, path: str
+    ) -> "tuple[str, Response | TransportError]":
+        """One attempt on an admitted replica: span, send, release, report.
+
+        The slot is released whatever happens and the breaker hears
+        exactly one outcome. Returns the outcome with the response, or
+        with the transport's exception when no response arrived.
+        """
+        try:
+            with span("gateway.forward", labels={"replica": replica.id, "path": path}):
+                # inside the span, so the replica's spans parent under this
+                # attempt; the ambient span wins over a client-supplied
+                # X-Trace, an untraced gateway passes that through
+                headers.update(trace_headers())
+                response = self.registry.request(method, url, headers=headers, body=body)
+        except TransportError as exc:
+            replica.breaker.record_failure()
+            return (CONNECT_ERROR if isinstance(exc, ConnectError) else TRANSPORT_ERROR), exc
+        finally:
+            replica.release_slot()
+        if response.status >= 500:
+            replica.breaker.record_failure()
+            return SERVER_ERROR, response
+        replica.breaker.record_success()
+        return OK, response
 
     def _forward_headers(self, request: Request) -> dict[str, str]:
         forwarded: dict[str, str] = {}
@@ -749,19 +849,10 @@ class ServiceGateway:
         if request_id:
             # thread the gateway's correlation id through to the replica
             forwarded["X-Request-Id"] = request_id
-        # and the trace context: the ambient span (if any) wins over a
-        # client-supplied X-Trace; an untraced gateway passes it through
-        forwarded.update(trace_headers())
         return forwarded
 
-    def _target(self, replica: Replica, path: str, request: Request) -> str:
-        url = replica.base_url + path
-        if request.query:
-            url += "?" + urlencode(request.query)
-        return url
-
     def _select(self, tried: set[str], key: str | None) -> tuple[Replica | None, str | None]:
-        """Pick a replica for a spread route, with its in-flight slot held.
+        """Pick a replica for a spread route and admit it.
 
         Healthy replicas are preferred; degraded ones are a fallback tier.
         Returns ``(None, "saturated")`` when capacity (not health) was the
@@ -773,48 +864,15 @@ class ServiceGateway:
             pool = [r for r in replicas if r.state is state and r.id not in tried]
             while pool:
                 chosen = self.policy.choose(pool, key)
-                if not chosen.acquire_slot():
-                    saturated = True
-                    pool.remove(chosen)
-                    continue
-                if not chosen.breaker.allow():
-                    chosen.release_slot()
-                    pool.remove(chosen)
-                    continue
-                return chosen, None
+                refusal = self._admit(chosen)
+                if refusal is None:
+                    return chosen, None
+                saturated = saturated or refusal == "saturated"
+                pool.remove(chosen)
         return None, ("saturated" if saturated else "unavailable")
 
-    def _forward_any(self, method: str, path: str, request: Request) -> tuple[Replica, Response]:
-        """Send an idempotent read to whichever available replica answers."""
-        tried: set[str] = set()
-        saturated = False
-        for _ in range(max(1, len(self.replicas))):
-            replica, reason = self._select(tried, None)
-            if replica is None:
-                saturated = saturated or reason == "saturated"
-                break
-            try:
-                response = self.registry.request(
-                    method, self._target(replica, path, request), headers=self._forward_headers(request)
-                )
-            except TransportError:
-                replica.breaker.record_failure()
-                tried.add(replica.id)
-                continue
-            finally:
-                replica.release_slot()
-            if response.status >= 500:
-                replica.breaker.record_failure()
-                tried.add(replica.id)
-                continue
-            replica.breaker.record_success()
-            return replica, response
-        if saturated:
-            raise self._unavailable_error(429, f"all replicas of {self.name!r} are at capacity")
-        raise self._unavailable_error(503, f"no replica of {self.name!r} is reachable")
-
     def _pin(self, job_id: str) -> tuple[Replica, str]:
-        """Resolve a public job id to its owning replica (slot not held)."""
+        """Resolve a public job id to its owning replica (not admitted)."""
         replica_id, raw_id = decode_job_id(job_id)
         return self._pin_replica(replica_id), raw_id
 
@@ -833,78 +891,6 @@ class ServiceGateway:
                 503, f"replica {replica_id!r} is down; its resources are unavailable until it recovers"
             )
         return replica
-
-    def _forward_pinned(
-        self, replica: Replica, method: str, path: str, request: Request, body: bytes = b""
-    ) -> Response:
-        if not replica.acquire_slot():
-            raise self._unavailable_error(429, f"replica {replica.id!r} is at capacity")
-        if not replica.breaker.allow():
-            replica.release_slot()
-            raise self._unavailable_error(
-                503,
-                f"replica {replica.id!r} circuit is open",
-                retry_after=max(self.retry_after_hint, replica.breaker.retry_after()),
-            )
-        try:
-            with span("gateway.forward", labels={"replica": replica.id, "path": path}):
-                response = self.registry.request(
-                    method,
-                    self._target(replica, path, request),
-                    headers=self._forward_headers(request),
-                    body=body,
-                )
-        except TransportError as exc:
-            replica.breaker.record_failure()
-            raise HttpError(502, f"replica {replica.id!r} unreachable: {exc}") from exc
-        finally:
-            replica.release_slot()
-        if response.status >= 500:
-            replica.breaker.record_failure()
-        else:
-            replica.breaker.record_success()
-        return response
-
-    def _forward_blob_any(
-        self, method: str, path: str, request: Request, key: "str | None" = None
-    ) -> tuple[Replica, Response]:
-        """Resolve a content-addressed resource: a 404 from one replica
-        just means *it* does not hold the blob, so keep trying others.
-        The digest key steers a consistent-hash policy to the likeliest
-        holder first."""
-        tried: set[str] = set()
-        missing = 0
-        saturated = False
-        for _ in range(max(1, len(self.replicas))):
-            replica, reason = self._select(tried, key)
-            if replica is None:
-                saturated = saturated or reason == "saturated"
-                break
-            try:
-                response = self.registry.request(
-                    method, self._target(replica, path, request), headers=self._forward_headers(request)
-                )
-            except TransportError:
-                replica.breaker.record_failure()
-                tried.add(replica.id)
-                continue
-            finally:
-                replica.release_slot()
-            if response.status >= 500:
-                replica.breaker.record_failure()
-                tried.add(replica.id)
-                continue
-            replica.breaker.record_success()
-            if response.status == 404:
-                missing += 1
-                tried.add(replica.id)
-                continue
-            return replica, response
-        if missing and not saturated:
-            raise HttpError(404, f"no replica of {self.name!r} holds this blob")
-        if saturated:
-            raise self._unavailable_error(429, f"all replicas of {self.name!r} are at capacity")
-        raise self._unavailable_error(503, f"no replica of {self.name!r} is reachable")
 
     # ------------------------------------------------------------ responses
 
@@ -938,29 +924,30 @@ class ServiceGateway:
                 out.headers.set(header_name, value)
         return out
 
-    def _unavailable(self, status: int, message: str, retry_after: float | None = None) -> Response:
-        return self._unavailable_error(status, message, retry_after=retry_after).to_response()
-
     def _unavailable_error(
         self, status: int, message: str, retry_after: float | None = None
     ) -> HttpError:
-        error = _RetryableError(status, message)
-        error.retry_after = min(
-            self.retry_after_cap,
-            retry_after if retry_after is not None else self.retry_after_hint,
-        )
-        return error
+        """A 429/503 whose ``Retry-After`` never exceeds the gateway's cap."""
+        if retry_after is None:
+            retry_after = self.retry_after_hint
+        return HttpError(status, message, retry_after=min(self.retry_after_cap, retry_after))
 
 
-class _RetryableError(HttpError):
-    """An HttpError whose response carries a ``Retry-After`` hint."""
+def _answer(replica: Replica, outcome: str, result: Any, attempt: int, key: str | None) -> bool:
+    """Verdict of routes that are sent once: whatever happened is the answer."""
+    return False
 
-    retry_after: float = 1.0
 
-    def to_response(self) -> Response:
-        response = super().to_response()
-        response.headers.set("Retry-After", f"{self.retry_after:g}")
-        return response
+def _next_unless_answered(replica: Replica, outcome: str, result: Any, attempt: int, key: str | None) -> bool:
+    """Verdict of idempotent spread reads: a transport error or a 5xx goes
+    to the next replica."""
+    return outcome != OK
+
+
+def _next_unless_found(replica: Replica, outcome: str, result: Any, attempt: int, key: str | None) -> bool:
+    """Verdict of content-addressed reads: also a 404 — it only means
+    *that* replica holds no copy."""
+    return outcome != OK or result.status == 404
 
 
 def make_replicated_gateway(

@@ -6,9 +6,9 @@ MathCloud's service container needs from its HTTP stack:
 - an HTTP message model (:mod:`repro.http.messages`),
 - a URI-template router (:mod:`repro.http.router`),
 - a REST application kernel with middleware (:mod:`repro.http.app`),
-- a TCP server facade (:mod:`repro.http.server`) over two cores: a
-  selectors-based event loop (:mod:`repro.http.eventloop`, the default)
-  and the original thread-per-connection core (:mod:`repro.http.threaded`),
+- the TCP server, a selectors-based event loop
+  (:mod:`repro.http.eventloop`; :mod:`repro.http.server` is its public
+  import path),
 - client transports — real sockets and in-process — behind one interface
   (:mod:`repro.http.transport`), resolved by URI through a registry
   (:mod:`repro.http.registry`),

@@ -4,7 +4,7 @@ A :class:`RestApp` owns a router and a middleware chain and turns a
 :class:`~repro.http.messages.Request` into a
 :class:`~repro.http.messages.Response`. It is transport-agnostic: the same
 instance can be served over TCP by :class:`~repro.http.server.RestServer`
-or called in process through
+(the event loop of :mod:`repro.http.eventloop`) or called in process through
 :class:`~repro.http.transport.LocalTransport`.
 """
 
@@ -23,8 +23,8 @@ logger = logging.getLogger(__name__)
 #: ``request.context`` key under which a non-blocking server installs its
 #: deferral capability. Present ⇒ the handler may park the request with
 #: ``raise request.context[DEFER_CAPABILITY](render, park, timeout)``
-#: instead of blocking its thread; absent (threaded server, local
-#: transport) ⇒ handlers block as they always did.
+#: instead of blocking its thread; absent (local transport) ⇒ handlers
+#: block as they always did.
 DEFER_CAPABILITY = "http.defer"
 
 

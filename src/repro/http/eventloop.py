@@ -1,4 +1,4 @@
-"""Selectors-based event-loop HTTP core (the C10k server).
+"""The HTTP server: a selectors-based event loop (the C10k server).
 
 One (or a few) loop threads own every socket through non-blocking parse
 and write state machines; request handling runs off-loop on a small
@@ -37,7 +37,7 @@ response later, pinning no thread in between.
 Fault seam: the configured ``fault_hook`` runs on the worker (so seeded
 ``delay`` faults stall a worker, not the loop) and may answer ``"drop"``
 (sever before any response byte) or ``"drop-mid-write"`` (sever after a
-partial response) — the same chaos vocabulary the threaded core speaks.
+partial response).
 """
 
 from __future__ import annotations
@@ -194,11 +194,11 @@ class _Connection:
 class _EventLoop:
     """One loop thread: a selector, a timer wheel, and its connections."""
 
-    def __init__(self, core: "EventLoopCore", name: str):
-        self.core = core
+    def __init__(self, server: "RestServer", name: str):
+        self.server = server
         self.name = name
         self.selector = selectors.DefaultSelector()
-        self.wheel = TimerWheel(granularity=core.timer_granularity)
+        self.wheel = TimerWheel()
         self.connections: set[_Connection] = set()
         self.connections_timed_out = 0
         self._actions: "deque[Callable[[], None]]" = deque()
@@ -261,12 +261,12 @@ class _EventLoop:
         sock.setblocking(False)
         with contextlib.suppress(OSError):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        connection = _Connection(sock, self, self.core.new_parser())
+        connection = _Connection(sock, self, self.server.new_parser())
         self.connections.add(connection)
         self.selector.register(
             sock, selectors.EVENT_READ, lambda _s, c=connection: self._on_readable(c)
         )
-        self._arm_idle_timer(connection, self.core.idle_timeout)
+        self._arm_idle_timer(connection, self.server.idle_timeout)
 
     def _set_interest(self, connection: _Connection, reading: bool, writing: bool) -> None:
         if connection.closed or (reading, writing) == (connection.reading, connection.writing):
@@ -334,7 +334,7 @@ class _EventLoop:
                 return
             request, close_after = connection.pipeline.popleft()
             connection.busy = True
-        self.core.dispatch(connection, request, close_after)
+        self.server.dispatch(connection, request, close_after)
 
     def _refuse(self, connection: _Connection, error: ProtocolError) -> None:
         """Answer a protocol error and close (the byte stream is unrecoverable)."""
@@ -348,7 +348,7 @@ class _EventLoop:
         response = HttpError(error.status, error.message).to_response()
         connection.close_after = True
         self._set_interest(connection, reading=False, writing=connection.writing)
-        self.core.send_payload(connection, serialize_response(response, close=True))
+        self.server.send_payload(connection, serialize_response(response, close=True))
 
     def _has_backlog(self, connection: _Connection) -> bool:
         return (
@@ -460,7 +460,7 @@ class _EventLoop:
     # ------------------------------------------------------------ idle timing
 
     def _arm_idle_timer(self, connection: _Connection, delay: float) -> None:
-        if self.core.idle_timeout <= 0:
+        if self.server.idle_timeout <= 0:
             return
         connection.idle_entry = self.wheel.schedule(
             delay, lambda: self._idle_expired(connection)
@@ -470,25 +470,42 @@ class _EventLoop:
         if connection.closed or connection not in self.connections:
             return
         idle = time.monotonic() - connection.last_activity
-        if connection.busy or idle < self.core.idle_timeout:
+        if connection.busy or idle < self.server.idle_timeout:
             # active, parked on a long-poll, or touched since scheduling:
             # re-arm for the remainder instead of churning per request
-            remaining = self.core.idle_timeout - (0.0 if connection.busy else idle)
+            remaining = self.server.idle_timeout - (0.0 if connection.busy else idle)
             self._arm_idle_timer(connection, max(remaining, self.wheel.granularity))
             return
         self.connections_timed_out += 1
         self._abort(connection)
 
 
-class EventLoopCore:
-    """The event-loop implementation behind the :class:`RestServer` facade.
+class RestServer:
+    """Serves a :class:`RestApp` over TCP on background threads.
 
-    Owns the listening socket (bound at construction so ``port`` is known
-    immediately), ``loop_threads`` event loops, and the off-loop handler
-    pool. The public counters and semantics mirror the threaded core:
-    ``connections_accepted``, ``fault_hook``, ``close_connections`` on
-    stop — the entire REST conformance/chaos/durability surface runs
-    unchanged over either.
+    Owns the listening socket (bound at construction, to an ephemeral
+    loopback port by default, so ``port`` is known immediately and
+    parallel test runs never clash), ``loop_threads`` event loops, and
+    the off-loop handler pool. Usable as a context manager::
+
+        with RestServer(app) as server:
+            client = RestClient(HttpTransport(), base=server.base_url)
+
+    - ``fault_hook`` — per-request fault-injection seam (also settable
+      as an attribute): runs with the parsed request before handling and
+      may return ``"drop"`` (sever without answering),
+      ``"drop-mid-write"`` (sever after a partial response), or ``None``
+      (serve normally).
+    - ``idle_timeout`` — seconds an idle keep-alive connection may sit
+      before the server closes it (``connections_timed_out`` counts the
+      reaped ones).
+    - ``max_body_bytes`` — request bodies above this answer 413 without
+      being buffered (default 64 MB).
+    - ``body_spill_bytes`` — request bodies above this are spilled to an
+      anonymous temp file instead of memory (default 1 MB; ``-1`` keeps
+      everything in memory).
+    - ``handler_threads`` / ``loop_threads`` — sizing of the handler
+      pool and the number of loop threads.
     """
 
     def __init__(
@@ -497,12 +514,12 @@ class EventLoopCore:
         host: str = "127.0.0.1",
         port: int = 0,
         fault_hook: "Callable[[Request], str | None] | None" = None,
+        *,
         idle_timeout: float = 60.0,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         body_spill_bytes: int = DEFAULT_BODY_SPILL_BYTES,
         handler_threads: int = 8,
         loop_threads: int = 1,
-        timer_granularity: float = 0.05,
     ):
         if loop_threads < 1:
             raise ValueError("need at least one loop thread")
@@ -512,7 +529,7 @@ class EventLoopCore:
         self.max_body_bytes = max_body_bytes
         self.body_spill_bytes = body_spill_bytes
         self.handler_threads = handler_threads
-        self.timer_granularity = timer_granularity
+        #: How many TCP connections the server has accepted so far.
         self.connections_accepted = 0
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -534,8 +551,9 @@ class EventLoopCore:
     # -------------------------------------------------------------- lifecycle
 
     @property
-    def started(self) -> bool:
-        return self._started
+    def base_url(self) -> str:
+        """The ``http://host:port`` prefix under which the app is reachable."""
+        return f"http://{self.host}:{self.port}"
 
     @property
     def connections_timed_out(self) -> int:
@@ -544,6 +562,7 @@ class EventLoopCore:
 
     @property
     def open_connections(self) -> int:
+        """TCP connections currently open."""
         return sum(len(loop.connections) for loop in self._loops)
 
     @property
@@ -551,7 +570,18 @@ class EventLoopCore:
         """Live entries across every loop's timer wheel (idle + long-poll)."""
         return sum(len(loop.wheel) for loop in self._loops)
 
-    def start(self) -> None:
+    def stats(self) -> dict[str, int]:
+        """A point-in-time snapshot of the server's connection counters."""
+        return {
+            "connections_accepted": self.connections_accepted,
+            "connections_timed_out": self.connections_timed_out,
+            "open_connections": self.open_connections,
+            "timer_entries": self.timer_entries,
+        }
+
+    def start(self) -> "RestServer":
+        if self._started:
+            raise RuntimeError("server already started")
         self._pool = ExecutorPool(workers=self.handler_threads, name=f"http-{self.port}")
         accept_loop = self._loops[0]
         accept_loop.selector.register(
@@ -560,6 +590,13 @@ class EventLoopCore:
         for loop in self._loops:
             loop.thread.start()
         self._started = True
+        return self
+
+    def __enter__(self) -> "RestServer":
+        return self.start()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.stop()
 
     def stop(self) -> None:
         if self._stopped:
@@ -585,7 +622,7 @@ class EventLoopCore:
             self._pool.shutdown(wait=False)
 
     def close_connections(self) -> None:
-        """Sever every live connection (used by stop; also callable alone)."""
+        """Sever every live keep-alive connection without stopping the server."""
         barriers = []
         for loop in self._loops:
             if not loop.thread.is_alive():

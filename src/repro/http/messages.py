@@ -383,7 +383,7 @@ class Response:
         """Collapse a streaming response into a buffered one, in place.
 
         Used by transports that hand the caller a complete response object
-        (the in-process local transport, the threaded test client).
+        (the in-process local transport, the drop-mid-write fault seam).
         """
         if self.stream is not None:
             self.body = b"".join(self.stream)

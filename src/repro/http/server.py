@@ -1,169 +1,8 @@
-"""TCP server facade exposing a :class:`~repro.http.app.RestApp`.
+"""The public import path of :class:`RestServer`.
 
-:class:`RestServer` is the single public entry point; the actual server
-lives in one of two interchangeable cores:
-
-- ``server_impl="eventloop"`` (default) — the selectors-based event-loop
-  core (:mod:`repro.http.eventloop`): a couple of loop threads own every
-  socket through non-blocking parse/write state machines, handlers run on
-  a small worker pool, and ``?wait=`` long-polls park the connection
-  instead of a thread. This is the C10k path.
-- ``server_impl="threaded"`` — the original thread-per-connection core
-  (:mod:`repro.http.threaded`), kept as an escape hatch and as the
-  baseline the G2 benchmark measures against.
-
-Both cores present identical REST semantics (the conformance suite runs
-against each) and the same facade surface: ``base_url``,
-``connections_accepted``, ``fault_hook``, ``start``/``stop``, context
-manager. It binds to an ephemeral loopback port by default, which keeps
-parallel test runs and multi-container benchmarks free of port clashes.
+The server itself is the event loop in :mod:`repro.http.eventloop`.
 """
 
-from __future__ import annotations
+from repro.http.eventloop import RestServer
 
-from typing import Callable
-
-from repro.http.app import RestApp
-from repro.http.eventloop import EventLoopCore
-from repro.http.messages import DEFAULT_BODY_SPILL_BYTES, DEFAULT_MAX_BODY_BYTES, Request
-from repro.http.threaded import SUPPORTED_METHODS, ThreadedServerCore
-
-__all__ = ["RestServer", "SUPPORTED_METHODS"]
-
-#: Registered ``server_impl`` values → core factory.
-SERVER_IMPLS = {
-    "eventloop": EventLoopCore,
-    "threaded": ThreadedServerCore,
-}
-
-
-class RestServer:
-    """Serves a :class:`RestApp` over TCP on background threads.
-
-    Usable as a context manager::
-
-        with RestServer(app) as server:
-            client = RestClient(HttpTransport(), base=server.base_url)
-
-    Keyword knobs (all optional, shared by both cores):
-
-    - ``server_impl`` — ``"eventloop"`` (default) or ``"threaded"``.
-    - ``idle_timeout`` — seconds an idle keep-alive connection may sit
-      before the server closes it (``connections_timed_out`` counts the
-      reaped ones on the event-loop core).
-    - ``max_body_bytes`` — request bodies above this answer 413 without
-      being buffered (default 64 MB).
-    - ``body_spill_bytes`` — request bodies above this are spilled to an
-      anonymous temp file instead of memory (default 1 MB; ``-1`` keeps
-      everything in memory).
-    - ``handler_threads`` / ``loop_threads`` — event-loop core sizing;
-      ignored by the threaded core.
-    """
-
-    def __init__(
-        self,
-        app: RestApp,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        fault_hook: "Callable[[Request], str | None] | None" = None,
-        *,
-        server_impl: str = "eventloop",
-        idle_timeout: float = 60.0,
-        max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        body_spill_bytes: int = DEFAULT_BODY_SPILL_BYTES,
-        handler_threads: int = 8,
-        loop_threads: int = 1,
-    ):
-        try:
-            factory = SERVER_IMPLS[server_impl]
-        except KeyError:
-            raise ValueError(
-                f"unknown server_impl {server_impl!r}; expected one of {sorted(SERVER_IMPLS)}"
-            ) from None
-        options: dict[str, object] = {
-            "idle_timeout": idle_timeout,
-            "max_body_bytes": max_body_bytes,
-            "body_spill_bytes": body_spill_bytes,
-        }
-        if factory is EventLoopCore:
-            options["handler_threads"] = handler_threads
-            options["loop_threads"] = loop_threads
-        self._core = factory(app, host, port, fault_hook, **options)
-        self.app = app
-        self.server_impl = server_impl
-
-    @property
-    def fault_hook(self) -> "Callable[[Request], str | None] | None":
-        """Per-request fault-injection seam.
-
-        The hook runs with the parsed request before handling and may
-        return ``"drop"`` (sever without answering), ``"drop-mid-write"``
-        (sever after a partial response), or ``None`` (serve normally).
-        """
-        return self._core.fault_hook
-
-    @fault_hook.setter
-    def fault_hook(self, hook: "Callable[[Request], str | None] | None") -> None:
-        self._core.fault_hook = hook
-
-    @property
-    def host(self) -> str:
-        return self._core.host
-
-    @property
-    def port(self) -> int:
-        return self._core.port
-
-    @property
-    def base_url(self) -> str:
-        """The ``http://host:port`` prefix under which the app is reachable."""
-        return f"http://{self.host}:{self.port}"
-
-    @property
-    def connections_accepted(self) -> int:
-        """How many TCP connections the server has accepted so far."""
-        return self._core.connections_accepted
-
-    @property
-    def connections_timed_out(self) -> int:
-        """Idle keep-alive connections closed by the idle-timeout reaper."""
-        return self._core.connections_timed_out
-
-    @property
-    def open_connections(self) -> int:
-        """TCP connections currently open (0 where the core can't say)."""
-        return getattr(self._core, "open_connections", 0)
-
-    @property
-    def timer_entries(self) -> int:
-        """Entries on the event-loop timer wheel (0 on the threaded core)."""
-        return getattr(self._core, "timer_entries", 0)
-
-    def stats(self) -> dict[str, int | str]:
-        """A point-in-time snapshot of the server's connection counters."""
-        return {
-            "impl": self.server_impl,
-            "connections_accepted": self.connections_accepted,
-            "connections_timed_out": self.connections_timed_out,
-            "open_connections": self.open_connections,
-            "timer_entries": self.timer_entries,
-        }
-
-    def start(self) -> "RestServer":
-        if self._core.started:
-            raise RuntimeError("server already started")
-        self._core.start()
-        return self
-
-    def close_connections(self) -> None:
-        """Sever every live keep-alive connection without stopping the server."""
-        self._core.close_connections()
-
-    def stop(self) -> None:
-        self._core.stop()
-
-    def __enter__(self) -> "RestServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+__all__ = ["RestServer"]

@@ -385,12 +385,17 @@ def instrument_wms(wms: Any) -> None:
                       "gauge", server_stat("open_connections"))
 
 
-_BREAKER_STATES = {"closed": 0, "open": 1, "half-open": 2}
-
-
 def instrument_gateway(gateway: Any) -> None:
     """Register scrape-time collectors over a ServiceGateway's state."""
+    # imported here: repro.gateway imports this module
+    from repro.gateway.breaker import BreakerState
+
     metrics: MetricsRegistry = gateway.metrics
+    breaker_codes = {
+        BreakerState.CLOSED.value: 0,
+        BreakerState.OPEN.value: 1,
+        BreakerState.HALF_OPEN.value: 2,
+    }
 
     def replicas_by_state():
         tally: dict[str, int] = {}
@@ -405,7 +410,7 @@ def instrument_gateway(gateway: Any) -> None:
 
     def breaker_states():
         return [
-            ((entry["id"],), _BREAKER_STATES.get(str(entry.get("breaker", "")).lower(), 0))
+            ((entry["id"],), breaker_codes[entry["breaker"]])
             for entry in gateway.replicas.snapshot()
         ]
 

@@ -110,10 +110,9 @@ class TestDownload:
 class TestTcpStreaming:
     """The same surface over a real socket: bodies stream, never buffer."""
 
-    @pytest.mark.parametrize("core", ["eventloop", "threaded"])
-    def test_round_trip_over_tcp(self, core, registry):
-        container = ServiceContainer(f"blob-tcp-{core}", handlers=2, registry=registry)
-        server = container.serve(port=0, server_impl=core)
+    def test_round_trip_over_tcp(self, registry):
+        container = ServiceContainer("blob-tcp", handlers=2, registry=registry)
+        server = container.serve(port=0)
         try:
             client = RestClient(TransportRegistry(), base=server.base_url)
             content = json.dumps(list(range(5000))).encode() * 3

@@ -1,12 +1,13 @@
 """Blob resources through the gateway: rewriting, pinning, resolution."""
 
 import hashlib
+import time
 
 import pytest
 
 from repro.container import ServiceContainer
 from repro.gateway import ServiceGateway
-from repro.gateway.breaker import CircuitBreaker
+from repro.gateway.breaker import BreakerState, CircuitBreaker
 from repro.gateway.replicaset import Replica, ReplicaSet
 from repro.gateway.routing import decode_blob_ref, rewrite_uri
 from repro.http.client import RestClient
@@ -128,6 +129,46 @@ class TestGatewayBlobRoutes:
         gateway, _containers = cell
         response = client.request_raw("GET", f"{gateway.base_uri}/blobs/{'0' * 64}")
         assert response.status == 404
+
+    def test_bare_digest_is_not_absent_while_its_holder_cannot_be_asked(self, cell, registry):
+        gateway, containers = cell
+        content = b"only on the second replica" * 40
+        digest = containers[1].blobs.put_bytes(content).digest
+        holder = gateway.replicas.get("r1")
+        for _ in range(holder.breaker.failure_threshold):
+            holder.breaker.record_failure()
+        unknown = registry.request("GET", f"{gateway.base_uri}/blobs/{digest}")
+        # r0 said 404, r1 was never asked: a 404 here would stop consumers retrying
+        assert unknown.status == 503
+        assert 0 < float(unknown.headers.get("Retry-After")) <= gateway.retry_after_cap
+        holder.breaker.record_success()
+        found = registry.request("GET", f"{gateway.base_uri}/blobs/{digest}")
+        assert found.status == 200
+        assert found.body == content
+
+    @pytest.mark.parametrize("method,path", [("POST", "/blobs"), ("PUT", "/blobs/{digest}")])
+    def test_unpinned_upload_may_be_the_half_open_probe(self, registry, method, path):
+        container = ServiceContainer("gwb-probe", handlers=2, registry=registry)
+        gateway = ServiceGateway(
+            registry=registry,
+            name="gwb-probe-gw",
+            replicas=ReplicaSet(registry=registry, breaker_failures=1, breaker_reset=0.05),
+        )
+        try:
+            replica = gateway.add_replica(container.local_base)
+            replica.breaker.record_failure()
+            time.sleep(0.06)
+            content = b"probe upload"
+            response = registry.request(
+                method, gateway.base_uri + path.format(digest=sha(content)), body=content
+            )
+            assert response.status == 201
+            assert replica.breaker.state is BreakerState.CLOSED
+            assert replica.in_flight == 0
+            assert registry.request("GET", gateway.base_uri + "/services").status == 200
+        finally:
+            gateway.shutdown()
+            container.shutdown()
 
     def test_put_with_digest_verifies(self, cell, client):
         gateway, containers = cell

@@ -429,36 +429,6 @@ class TestLifecycle:
             sock.settimeout(2.0)
             assert sock.recv(16) == b""
 
-    def test_unknown_server_impl_is_rejected(self):
-        with pytest.raises(ValueError, match="server_impl"):
-            RestServer(ping_app(), server_impl="twisted")
-
-    def test_threaded_escape_hatch_serves_the_same_app(self):
-        server = RestServer(ping_app(), server_impl="threaded").start()
-        try:
-            with socket.create_connection((server.host, server.port)) as sock:
-                sock.sendall(b"GET /ping HTTP/1.1\r\nHost: x\r\n\r\n")
-                response = recv_response(sock)
-            assert response.startswith(b"HTTP/1.1 200")
-            assert b'"pong"' in response
-            assert server.connections_accepted == 1
-        finally:
-            server.stop()
-
-    def test_threaded_escape_hatch_enforces_the_body_cap(self):
-        server = RestServer(
-            ping_app(), server_impl="threaded", max_body_bytes=1024
-        ).start()
-        try:
-            with socket.create_connection((server.host, server.port)) as sock:
-                sock.sendall(
-                    b"POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: 2048\r\n\r\n"
-                )
-                response = recv_response(sock)
-            assert response.startswith(b"HTTP/1.1 413")
-        finally:
-            server.stop()
-
     def test_port_is_known_before_start_and_stop_without_start_is_clean(self):
         instance = RestServer(ping_app())
         assert instance.port > 0
@@ -513,7 +483,7 @@ class TestInlineCompletion:
     """The worker that wrote a response hands the connection back itself."""
 
     def test_plain_keep_alive_exchange_never_wakes_the_loop(self, server):
-        [loop] = server._core._loops
+        [loop] = server._loops
         wakes = []
         original = loop.wake
         loop.wake = lambda: (wakes.append(1), original())
@@ -535,7 +505,7 @@ class TestInlineCompletion:
         # force the schedule the lock exists for: the next request reaches
         # the loop after the worker found the pipeline empty and before it
         # cleared ``busy``
-        [loop] = server._core._loops
+        [loop] = server._loops
         ping = b"GET /ping HTTP/1.1\r\nHost: x\r\n\r\n"
         with socket.create_connection((server.host, server.port)) as sock:
             sock.sendall(ping)

@@ -1,11 +1,9 @@
-"""Table 1 conformance over every transport and server core.
+"""Table 1 conformance over every transport.
 
 The normative resource/method matrix, exercised against a container over
-a real HTTP socket served by the event-loop core (the default), over the
-same socket path served by the threaded escape-hatch core, and over the
-in-process ``local://`` transport. Every test runs identically against
-all three: they must be observably the same wire protocol — status
-codes, headers, hierarchy, sync and async modes.
+a real HTTP socket and over the in-process ``local://`` transport. Every
+test runs identically against both: they must be observably the same
+wire protocol — status codes, headers, hierarchy, sync and async modes.
 """
 
 import json
@@ -19,13 +17,11 @@ from repro.http.transport import HttpTransport
 from tests.waiters import wait_for_state
 
 
-@pytest.fixture(scope="module", params=["http", "http-threaded", "local"])
+@pytest.fixture(scope="module", params=["http", "local"])
 def conformance_cell(request):
     """One served container + the transport under test: ``(transport, url)``.
 
-    ``http`` is the event-loop server (the default core), ``http-threaded``
-    the thread-per-connection escape hatch, ``local`` the in-process
-    transport.
+    ``http`` is the TCP server, ``local`` the in-process transport.
     """
     registry = TransportRegistry()
     container = ServiceContainer(f"conformance-{request.param}", handlers=2, registry=registry)
@@ -54,9 +50,8 @@ def conformance_cell(request):
             "config": {"callable": work},
         }
     )
-    if request.param.startswith("http"):
-        impl = "threaded" if request.param == "http-threaded" else "eventloop"
-        server = container.serve(server_impl=impl)
+    if request.param == "http":
+        server = container.serve()
         transport = HttpTransport(timeout=10)
         base = server.base_url
     else:

@@ -1,8 +1,8 @@
 """Exposition-format conformance for ``GET /metrics``, over every transport.
 
-One parametrized fixture serves the same loaded container three ways —
-in-process ``local://``, the event-loop TCP core, and the threaded TCP
-core — and the same assertions run against each: correct content type,
+One parametrized fixture serves the same loaded container two ways —
+in-process ``local://`` and over the event-loop TCP server — and the
+same assertions run against each: correct content type,
 strictly parseable exposition text, valid names, HELP/TYPE headers for
 every family, enough metric families to be useful, monotone counters
 across scrapes, and label escaping that survives the wire.
@@ -33,7 +33,7 @@ _SERVICE = {
     "config": {"callable": lambda a, b: {"sum": a + b}},
 }
 
-TRANSPORTS = ("local", "eventloop", "threaded")
+TRANSPORTS = ("local", "eventloop")
 
 
 class Endpoint:
@@ -69,7 +69,7 @@ def endpoint(request):
     if request.param == "local":
         base = container.local_base
     else:
-        server = container.serve(server_impl=request.param)
+        server = container.serve()
         base = server.base_url
     point = Endpoint(container, registry, base)
     # generate representative load before any scrape: successes, a 404,

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro.container import ServiceContainer
-from repro.gateway import ServiceGateway
+from repro.gateway import CircuitBreaker, ServiceGateway
 from repro.http.registry import TransportRegistry
-from repro.observability import gateway_status
+from repro.observability import gateway_status, parse_metrics
 from tests.waiters import wait_for_state, wait_until
 
 _ADD = {
@@ -139,3 +139,27 @@ class TestStatusAggregation:
         assert over_http.keys() == in_process.keys()
         assert (over_http["platform"]["replicas_total"]
                 == in_process["platform"]["replicas_total"])
+
+
+def test_breaker_state_gauge_follows_the_breaker():
+    registry = TransportRegistry()
+    now = [0.0]
+    gateway = ServiceGateway(registry=registry, name="gauge-gw")
+    try:
+        replica = gateway.add_replica("local://nowhere")
+        replica.breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout=5.0, clock=lambda: now[0])
+
+        def gauge():
+            page = registry.request("GET", f"{gateway.base_uri}/metrics").body.decode()
+            [sample] = parse_metrics(page)["mc_gateway_breaker_state"].samples
+            assert sample.labels == {"replica": replica.id}
+            return sample.value
+
+        assert gauge() == 0  # closed
+        replica.breaker.record_failure()
+        assert gauge() == 1  # open
+        now[0] += 6.0
+        assert gauge() == 2  # half-open
+    finally:
+        gateway.shutdown()

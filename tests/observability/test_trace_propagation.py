@@ -329,6 +329,17 @@ class TestGatewayTraceEndToEnd:
             assert parent_of(replica_request)["name"] == "gateway.forward"
             assert run["link"] == "follows"
 
+    def test_spread_read_is_forwarded_inside_a_span(self, platform):
+        registry, gateway, replicas = platform
+        response = registry.request(
+            "GET", f"{gateway.base_uri}/services/add",
+            headers={"X-Trace": "t-describe"})
+        assert response.status == 200
+        [forward] = [s for s in gateway.tracer.spans("t-describe")
+                     if s["name"] == "gateway.forward"]
+        replica_spans = [s for c in replicas for s in c.tracer.spans("t-describe")]
+        assert [s["parent_id"] for s in replica_spans] == [forward["span_id"]]
+
     def test_traces_of_distinct_jobs_never_cross(self, platform):
         registry, gateway, _ = platform
         first = _submit_and_trace(registry, gateway, 1, 1)
