@@ -8,7 +8,17 @@ Typical use::
     job = proxy.submit(n=200, method="block")
     result = job.result(timeout=600)       # waits, raises on failure
 
-    quick = proxy(n=10)                     # submit + wait in one call
+    quick = proxy(n=10)                     # submit + wait in one round trip
+
+Waiting rides on the requests themselves (``?wait=<seconds>``): a waited
+submit (``POST …?wait=``) is answered when the job has settled, so a job
+shorter than :data:`LONG_POLL_CHUNK` costs one request, and a longer one
+continues with long-poll ``GET`` requests. A handle that already holds a
+terminal representation — from a waited submit, a synchronous service or
+a cache hit — never asks again. Whether the server honours ``wait`` is
+observed, not assumed: one that ignores it on the submit answers
+``WAITING`` at once and the handle simply goes on to ``GET``; one that
+ignores it there too is detected and polled the paper's plain way.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ class JobHandle:
     def __init__(self, uri: str, client: RestClient):
         self.uri = uri
         self._client = client
+        #: The latest representation seen (seeded by the submit's 201).
         self._last: dict[str, Any] = {}
         #: The validator of the cached representation; polls send it as
         #: ``If-None-Match`` so an unchanged job answers 304, body-free.
@@ -110,6 +121,10 @@ class JobHandle:
         latency. Against servers that ignore ``wait`` the handle degrades
         to the paper's plain polling with gentle backoff.
         """
+        if self._last and JobState(self._last["state"]).terminal:
+            # terminal is final: the submit's own reply (a waited submit, a
+            # synchronous service, a cache hit) already settled it
+            return self
         deadline = None if timeout is None else time.monotonic() + timeout
         interval = poll
         while True:
@@ -190,28 +205,38 @@ class ServiceProxy:
     def describe_raw(self) -> dict[str, Any]:
         return self._client.get()
 
-    def submit_dict(self, inputs: dict[str, Any], idempotency_key: str | None = None) -> JobHandle:
+    def submit_dict(
+        self, inputs: dict[str, Any], idempotency_key: str | None = None, wait: float = 0.0
+    ) -> JobHandle:
         """``POST`` a request; returns the handle of the created job.
 
         An explicit ``idempotency_key`` (or :attr:`idempotent_submits`)
         marks the POST as replayable for gateways and retry layers.
+        ``wait`` seconds (``POST …?wait=``) asks the service to hold the
+        ``201`` until the job has settled, so the handle of a quick job
+        comes back already terminal and waiting on it costs no request.
         """
         headers: dict[str, str] = {}
         if idempotency_key is None and self.idempotent_submits:
             idempotency_key = new_idempotency_key()
         if idempotency_key is not None:
             headers[IDEMPOTENCY_KEY_HEADER] = idempotency_key
-        created = self._client.request_json("POST", "", payload=inputs, headers=headers)
+        created = self._client.request_json(
+            "POST", "", query={"wait": f"{wait:g}"} if wait > 0 else None,
+            payload=inputs, headers=headers,
+        )
         handle = JobHandle(created["uri"], self._client)
         handle._last = created
         return handle
 
-    def submit(self, **inputs: Any) -> JobHandle:
-        return self.submit_dict(inputs)
+    def submit(self, wait: float = 0.0, **inputs: Any) -> JobHandle:
+        return self.submit_dict(inputs, wait=wait)
 
     def __call__(self, timeout: float | None = None, **inputs: Any) -> dict[str, Any]:
-        """Submit and wait: the synchronous convenience call."""
-        return self.submit_dict(inputs).result(timeout=timeout)
+        """Submit and wait: the synchronous convenience call (one round
+        trip for a job that settles within :data:`LONG_POLL_CHUNK`)."""
+        wait = LONG_POLL_CHUNK if timeout is None else min(LONG_POLL_CHUNK, timeout)
+        return self.submit_dict(inputs, wait=wait).result(timeout=timeout)
 
     def __repr__(self) -> str:
         return f"ServiceProxy({self.uri!r})"

@@ -229,24 +229,95 @@ def mount_service(
             response.headers.set(X_CACHE_HEADER, cache_status)
         return response
 
+    def _when_settled(
+        job: Job, request: Request, wait_seconds: float, render: Callable[[], Response]
+    ) -> Response:
+        """``render()`` now, or — ``?wait=`` on a live job — once the job
+        turns terminal or the wait expires, whichever comes first.
+
+        On a blocking transport (the local transport) the handler blocks
+        on the job's condition variable. On the event-loop server the same
+        wait costs no thread: the transport's deferral is raised, parking
+        the connection on the job's transition observers, and ``render``
+        runs at resume time. The wire behaviour is identical either way.
+        """
+        if wait_seconds <= 0 or job.state.terminal:
+            return render()
+        deferral = request.context.get(DEFER_CAPABILITY)
+        if deferral is None:
+            job.wait(timeout=wait_seconds)
+            return render()
+        # a wait that expires must take its observer (which holds the
+        # request and its connection) off the job again; park and the
+        # resumed render run on different threads, so whichever of the
+        # two comes second does it
+        unsubscribe: "Callable[[], None] | None" = None
+        answered = False
+
+        def park(resume: Callable[[], None]) -> None:
+            nonlocal unsubscribe
+            # fires immediately (on this thread) if the job went terminal
+            # since the check above — resume is idempotent
+            unsubscribe = job.subscribe(
+                lambda _job, state: resume() if state.terminal else None
+            )
+            if answered:
+                unsubscribe()
+
+        def answer() -> Response:
+            nonlocal answered
+            answered = True
+            if unsubscribe is not None:
+                unsubscribe()
+            return render()
+
+        raise deferral(render=answer, park=park, timeout=wait_seconds)
+
     def submit(request: Request) -> Response:
+        """Create a job; ``?wait=<seconds>`` answers once it has settled.
+
+        Without ``wait`` (or with ``0``) the ``201`` carries the job as
+        created — the paper's submit. With it, the same ``201`` +
+        ``Location`` is held back until the job turns terminal or the
+        wait expires and carries the representation current *then*, so a
+        quick job's ``results`` arrive in the submit's own reply: one
+        round trip instead of ``POST`` then ``GET …?wait=``. The
+        parameter is validated before anything is created (invalid ⇒ 400,
+        no job), and the wait starts only after the job exists and its
+        ``Idempotency-Key`` is in the ledger — a duplicate or a retry
+        arriving mid-wait replays the same job (``Idempotent-Replay:
+        true``) and, if it asks to, waits on it too. A cache hit or a
+        synchronous service hands back a terminal job and never waits;
+        a ``DELETE`` during the wait answers the POST with ``CANCELLED``.
+        """
+        wait_seconds = parse_wait(request.query.get("wait"))
         inputs = request.json if request.body else {}
         key = request.headers.get(IDEMPOTENCY_KEY_HEADER)
+
+        def created(job: Job, replayed: bool = False) -> Response:
+            cache_status = None if replayed else request.context.get("cache_status")
+            return _when_settled(
+                job, request, wait_seconds,
+                lambda: _created(job, replayed=replayed, cache_status=cache_status),
+            )
+
         if not key:
             try:
                 job = backend.submit(inputs, request)
             except ServiceError as error:
                 raise _to_http_error(error) from error
-            return _created(job, cache_status=request.context.get("cache_status"))
+            return created(job)
         while True:
             job_id, owner = ledger.claim(key)
             if job_id is None:
                 break
             try:
-                return _created(backend.get_job(job_id), replayed=True)
+                job = backend.get_job(job_id)
             except ServiceError:
                 # the recorded job was deleted since; treat the key as new
                 ledger.forget(key)
+                continue
+            return created(job, replayed=True)
         if not owner:
             return HttpError(
                 503, f"a request with Idempotency-Key {key!r} is still in flight",
@@ -261,20 +332,12 @@ def mount_service(
             ledger.release(key)
             raise
         ledger.store(key, job.id)
-        return _created(job, cache_status=request.context.get("cache_status"))
+        return created(job)
 
     def get_job(request: Request, job_id: str) -> Response:
-        """Job status; ``?wait=<seconds>`` turns the GET into a long-poll.
-
-        On a blocking transport (the local transport) the
-        handler blocks on the job's condition variable until the first
-        terminal transition (answering in the same round-trip) or until
-        the wait expires (answering with the current representation). On
-        the event-loop server the same wait costs no thread: the handler
-        raises the transport's deferral, parking the connection on the
-        job's transition observers, and the representation is rendered
-        when the job settles or the wait expires. The wire behaviour is
-        identical either way.
+        """Job status; ``?wait=<seconds>`` turns the GET into a long-poll:
+        answered by the first terminal transition (in the same round
+        trip) or, when the wait expires, with the current representation.
         """
         try:
             job = backend.get_job(job_id)
@@ -294,21 +357,7 @@ def mount_service(
             response.headers.set("ETag", etag)
             return response
 
-        wait_seconds = parse_wait(request.query.get("wait"))
-        if wait_seconds > 0 and not job.state.terminal:
-            deferral = request.context.get(DEFER_CAPABILITY)
-            if deferral is not None:
-
-                def park(resume: Callable[[], None]) -> None:
-                    # fires immediately (on this thread) if the job went
-                    # terminal since the check above — resume is idempotent
-                    job.subscribe(
-                        lambda _job, state: resume() if state.terminal else None
-                    )
-
-                raise deferral(render=render, park=park, timeout=wait_seconds)
-            job.wait(timeout=wait_seconds)
-        return render()
+        return _when_settled(job, request, parse_wait(request.query.get("wait")), render)
 
     def delete_job(request: Request, job_id: str) -> Response:
         try:

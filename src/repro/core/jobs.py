@@ -105,24 +105,43 @@ class Job:
         self.state = target
 
     def _notify_observers(self, state: JobState) -> None:
-        """Fire observers outside the lock so callbacks may read the job."""
+        """Fire observers outside the lock so callbacks may read the job.
+
+        Terminal is final, so a terminal transition also drops the
+        observers: whatever they captured (a parked request, its
+        connection) must not live as long as the job does.
+        """
         with self._lock:
-            observers = list(self._observers)
+            if state.terminal:
+                observers, self._observers = self._observers, []
+            else:
+                observers = list(self._observers)
         for observer in observers:
             observer(self, state)
 
-    def subscribe(self, observer: TransitionObserver) -> None:
+    def subscribe(self, observer: TransitionObserver) -> Callable[[], None]:
         """Register ``observer`` for subsequent transitions.
 
         If the job is already terminal the observer fires immediately (on
-        the caller's thread), so subscribers cannot miss the final state.
+        the caller's thread) and is not kept, so subscribers cannot miss
+        the final state and see it exactly once. Returns a callable that
+        removes the observer again (idempotent; a no-op once a terminal
+        transition dropped it) — a waiter that gives up calls it.
         """
         with self._lock:
-            self._observers.append(observer)
-            already_terminal = self.state.terminal
             state = self.state
-        if already_terminal:
+            terminal = state.terminal
+            if not terminal:
+                self._observers.append(observer)
+        if terminal:
             observer(self, state)
+
+        def unsubscribe() -> None:
+            with self._lock:
+                if observer in self._observers:
+                    self._observers.remove(observer)
+
+        return unsubscribe
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the job is terminal; True unless the wait timed out.

@@ -205,9 +205,12 @@ class TenantGate:
                     "sample", tenant, response.status,
                     time.perf_counter() - start))
             return response
-        except DeferredResponse:
-            # parked long-poll: the handler is done, the response is
-            # not; skip the latency sample rather than record a bogus one
+        except DeferredResponse as deferred:
+            # parked (a long-poll, or a waited submit — the gated request
+            # itself): the sample lands when the response renders, with
+            # its real status and the full duration
+            if self.requests is not None:
+                deferred.render = self._resumed_render(deferred.render, tenant, start)
             raise
         except HttpError as error:
             if self.requests is not None:
@@ -226,6 +229,15 @@ class TenantGate:
                         self._in_flight.pop(tenant, None)
                     else:
                         self._in_flight[tenant] = held - 1
+
+    def _resumed_render(self, render, tenant: str, start: float):
+        def resumed() -> Response:
+            response = render()
+            self._pending.append((
+                "sample", tenant, response.status, time.perf_counter() - start))
+            return response
+
+        return resumed
 
     def _flush_pending(self) -> None:
         pending = self._pending

@@ -4,8 +4,9 @@ Executes a validated workflow: blocks run as soon as all their inputs are
 available, independent blocks run in parallel, and per-block states stream
 to an observer — the information the editor uses to paint blocks by
 state. Service blocks are invoked through the unified REST API (submit,
-poll, collect), so a workflow can span services in any container,
-cluster or grid without the engine knowing the difference.
+poll, collect — one waited submit when the block is quick), so a workflow
+can span services in any container, cluster or grid without the engine
+knowing the difference.
 """
 
 from __future__ import annotations
@@ -399,13 +400,15 @@ class _Run:
     def _await_service(
         self, block: ServiceBlock, proxy: ServiceProxy, inputs: dict[str, Any]
     ) -> dict[str, Any]:
-        handle = proxy.submit_dict(inputs)
+        # one round trip per block: the submit itself waits (up to a
+        # wait_chunk) for the job to settle, so a quick block's results come
+        # back in the 201; a slower one continues long-polling in wait_chunk
+        # blocks, so completion is signalled by the service's own
+        # transition and cancellation is still noticed between chunks
+        handle = proxy.submit_dict(inputs, wait=self.engine.wait_chunk)
+        representation = handle.representation
         interval = self.engine.poll
         while True:
-            # primary path: long-poll in wait_chunk blocks, so completion is
-            # signalled by the service's own transition and cancellation is
-            # still noticed between chunks
-            representation = handle.poll(wait=self.engine.wait_chunk)
             if representation["state"] == "DONE":
                 return representation.get("results", {})
             if representation["state"] in ("FAILED", "CANCELLED"):
@@ -422,6 +425,7 @@ class _Run:
                 # backoff polling (interruptible by cancel, no time.sleep)
                 self.cancel_event.wait(interval)
                 interval = min(interval * 1.5, 0.5)
+            representation = handle.poll(wait=self.engine.wait_chunk)
 
     def _run_script(self, block: ScriptBlock) -> dict[str, Any]:
         namespace: dict[str, Any] = dict(self._block_inputs(block))

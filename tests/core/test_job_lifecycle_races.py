@@ -168,3 +168,30 @@ class TestTransitionObservers:
         job.mark_running()
         job.mark_failed("nope")
         assert [snapshot["state"] for snapshot in snapshots] == ["RUNNING", "FAILED"]
+
+    def test_unsubscribe_removes_only_that_observer(self):
+        job = make_job()
+        kept, dropped = [], []
+        job.subscribe(lambda observed, state: kept.append(state))
+        unsubscribe = job.subscribe(lambda observed, state: dropped.append(state))
+        job.mark_running()
+        unsubscribe()
+        unsubscribe()  # idempotent
+        job.mark_done({})
+        assert kept == [JobState.RUNNING, JobState.DONE]
+        assert dropped == [JobState.RUNNING]
+
+    def test_terminal_transition_drops_every_observer(self):
+        """Terminal is final: observers (and whatever they hold — a parked
+        request, its connection) must not live as long as the job."""
+        job = make_job()
+        seen = []
+        unsubscribe = job.subscribe(lambda observed, state: seen.append(state))
+        job.mark_cancelled()
+        assert seen == [JobState.CANCELLED]
+        assert job._observers == []
+        unsubscribe()  # a no-op once dropped
+        # a late subscriber fires once and is not kept either
+        job.subscribe(lambda observed, state: seen.append(state))
+        assert seen == [JobState.CANCELLED, JobState.CANCELLED]
+        assert job._observers == []

@@ -6,19 +6,31 @@ that always prefers the first candidate sends every spread route to
 ``r0`` first. Each cell asserts what the client sees and what the
 attempt left behind: no in-flight slot held, no half-open probe permit
 outstanding, and exactly one breaker outcome per request that went out.
+
+A waited submit (``POST …?wait=``) is one more route class of the same
+matrix — the query rides the one forward path — and, because it holds its
+attempt open for the wait, gets two cells of its own against real
+replicas: a duplicate key and a dropped connection, both *mid-wait*.
 """
 
 import itertools
+import threading
+import time
 
 import pytest
 
+from repro.container import ServiceContainer
+from repro.core.api import MAX_LONG_POLL, SubmitLedger
 from repro.faults import FaultInjectingTransport, FaultPlan, Scenario
 from repro.gateway import BreakerState, CircuitBreaker, ReplicaSet, ServiceGateway
+from repro.gateway.idempotency import IdempotencyCache
 from repro.http.app import RestApp
 from repro.http.client import IDEMPOTENCY_KEY_HEADER
 from repro.http.messages import HttpError, Response
 from repro.http.registry import TransportRegistry
-from repro.http.transport import Transport
+from repro.http.transport import HttpTransport, Transport
+from tests.gateway.test_replay_binding import DropResponses
+from tests.waiters import wait_until
 
 DIGEST = "d" * 64
 _counter = itertools.count()
@@ -33,6 +45,7 @@ ROUTES = {
     "blob-upload": ("POST", "/blobs", {}, 201),
     "submit": ("POST", "/services/svc", {}, 201),
     "keyed-submit": ("POST", "/services/svc", {IDEMPOTENCY_KEY_HEADER: "k1"}, 201),
+    "waited-keyed-submit": ("POST", "/services/svc?wait=0.2", {IDEMPOTENCY_KEY_HEADER: "k1"}, 201),
 }
 
 BEHAVIOURS = (
@@ -63,6 +76,8 @@ EXPECTED = {
     # with a key: a drop pins the key to r0 (every replay drops too), 5xx moves on
     "keyed-submit": dict(_READ, **{"dropped": 503}),
 }
+# the wait changes when the replica answers, not what the gateway does with it
+EXPECTED["waited-keyed-submit"] = EXPECTED["keyed-submit"]
 
 
 class FirstCandidate:
@@ -108,6 +123,7 @@ def stub_replica(name, mode):
 
     def route(method, template, status, document, override="status"):
         def handler(request, **_params):
+            mode.setdefault("queries", []).append(dict(request.query))
             injected = mode.get(override)
             if injected:
                 raise HttpError(injected, "injected", retry_after=2 if injected in (429, 503) else None)
@@ -208,3 +224,113 @@ def test_forward_outcome(make_cell, route, behaviour):
     if behaviour == "breaker-half-open":
         assert cell.transport.sent.get(cell.names[0]) == 1, "the probe never went out"
         assert bad.breaker.state is BreakerState.CLOSED
+    if "?" in path:
+        seen = [query for mode in cell.modes for query in mode.get("queries", [])]
+        assert seen or response.status != ok_status
+        assert all(query == {"wait": "0.2"} for query in seen), "the wait was not forwarded"
+
+
+def test_the_three_timeouts_are_ordered():
+    """A waited submit may hold its attempt for MAX_LONG_POLL: a duplicate
+    key must be able to out-wait it on the reservation (gateway) or the
+    ledger claim (replica), and the transport must not give up first."""
+    assert MAX_LONG_POLL < IdempotencyCache().pending_timeout
+    assert MAX_LONG_POLL < SubmitLedger().pending_timeout
+    assert MAX_LONG_POLL < HttpTransport().timeout
+
+
+# ------------------------------------------------------- mid-wait, for real
+
+
+@pytest.fixture()
+def waited_cell(request):
+    """Gateway → two real replicas whose ``hold`` job runs until released."""
+    registry = TransportRegistry()
+    suffix = next(_counter)
+    release = threading.Event()
+    request.addfinalizer(release.set)
+    containers = []
+    for letter in ("a", "b"):
+        container = ServiceContainer(f"wq-{letter}{suffix}", handlers=2, registry=registry)
+        container.deploy({
+            "description": {
+                "name": "hold",
+                "inputs": {"x": {"schema": {"type": "number"}}},
+                "outputs": {"y": {"schema": {"type": "number"}}},
+            },
+            "adapter": "python",
+            "config": {"callable": lambda x: {"y": 2 * x if release.wait(20) else -1}},
+        })
+        containers.append(container)
+        request.addfinalizer(container.shutdown)
+    gateway = ServiceGateway(registry=registry, name=f"wq-gw{suffix}")
+    for container in containers:
+        gateway.add_replica(container.local_base)
+    request.addfinalizer(gateway.shutdown)
+    return registry, gateway, containers, release
+
+
+def _held_jobs(containers):
+    return [job for container in containers for job in container.service("hold").jobs.list()]
+
+
+def _waited_submit(registry, gateway, key, box):
+    box.append(registry.request(
+        "POST", gateway.service_uri("hold") + "?wait=10",
+        headers={IDEMPOTENCY_KEY_HEADER: key}, body=b'{"x": 21}',
+    ))
+
+
+def test_duplicate_key_mid_wait_gets_the_first_attempts_201(waited_cell):
+    registry, gateway, containers, release = waited_cell
+    answers = []
+    first = threading.Thread(target=_waited_submit, args=(registry, gateway, "wq-dup", answers))
+    first.start()
+    wait_until(lambda: _held_jobs(containers), message="the first attempt created no job")
+    duplicate = threading.Thread(target=_waited_submit, args=(registry, gateway, "wq-dup", answers))
+    duplicate.start()
+    time.sleep(0.2)
+    # both are still waiting: the first on its job, the duplicate on the
+    # first's reservation — not racing it into a second job
+    assert first.is_alive() and duplicate.is_alive()
+    assert gateway.idempotency.pending_count == 1
+    assert len(_held_jobs(containers)) == 1
+    release.set()
+    for thread in (first, duplicate):
+        thread.join(timeout=8)
+        assert not thread.is_alive()
+    assert [response.status for response in answers] == [201, 201]
+    assert answers[0].body == answers[1].body
+    job = answers[0].json_body
+    # the settled document is what was rewritten and stored, as for a GET
+    assert job["state"] == "DONE" and job["results"] == {"y": 42}
+    assert job["uri"].startswith(gateway.base_uri) and job["id"][:3] in ("r0.", "r1.")
+    assert answers[1].headers.get("Location") == job["uri"]
+    assert len(_held_jobs(containers)) == 1
+    assert gateway.idempotency.pending_count == 0
+
+
+def test_dropped_mid_wait_retries_on_the_bound_replica(waited_cell):
+    registry, gateway, containers, release = waited_cell
+    # the replica creates the job, waits it out, and the 201 is lost on the
+    # wire: ambiguous, so the key is bound and the retry goes back to the
+    # same replica, whose ledger answers with the one job (waiting again
+    # if it had to)
+    dropper = DropResponses(registry.local, r"POST local://wq-[ab]\d+/services/hold\?wait=10$")
+    registry.add_transport(dropper)
+    answers = []
+    thread = threading.Thread(target=_waited_submit, args=(registry, gateway, "wq-drop", answers))
+    thread.start()
+    wait_until(lambda: _held_jobs(containers), message="the dropped attempt created no job")
+    time.sleep(0.1)  # mid-wait
+    release.set()
+    thread.join(timeout=8)
+    assert not thread.is_alive()
+    assert dropper.delivered == 1
+    (response,) = answers
+    assert response.status == 201
+    assert response.json_body["state"] == "DONE"
+    (job,) = _held_jobs(containers)  # jobs created == 1
+    owner = "r0" if containers[0].service("hold").jobs.list() else "r1"
+    assert response.json_body["id"] == f"{owner}.{job.id}"
+    assert len(job._observers) == 0

@@ -2,9 +2,12 @@
 
 import json
 
-from repro.http.app import RestApp
+import pytest
+
+from repro.http.app import DeferredResponse, RestApp
 from repro.http.messages import Request, Response
 from repro.http.registry import TransportRegistry
+from repro.runtime.metrics import MetricsRegistry
 from repro.tenancy import TenantGate, TenantRegistry, TenantSpec, TokenBucket
 from repro.tenancy.registry import DEFAULT_TENANT, TENANT_HEADER
 
@@ -142,8 +145,6 @@ def test_retry_after_capped():
 
 
 def test_gate_metrics_flush_on_scrape():
-    from repro.runtime.metrics import MetricsRegistry
-
     metrics = MetricsRegistry("gate-metrics")
     tenants = TenantRegistry()
     tenants.register(TenantSpec(name="limited", rate=0.001, burst=1.0))
@@ -156,3 +157,32 @@ def test_gate_metrics_flush_on_scrape():
     assert 'mc_tenant_requests_total{tenant="limited",status="429"} 1' in page
     assert 'mc_tenant_shed_total{tenant="limited",reason="rate"} 1' in page
     assert 'mc_tenant_request_seconds_count{tenant="limited"} 2' in page
+
+
+def test_deferred_response_is_sampled_when_it_renders():
+    """A handler that parks (a waited submit is the gated request itself)
+    still lands exactly one per-tenant sample — at render time, with the
+    rendered status — and gives its concurrency token back at the park."""
+    metrics = MetricsRegistry("gate-deferred")
+    tenants = TenantRegistry()
+    tenants.register(TenantSpec(name="t", max_concurrent=1))
+    gate = TenantGate(tenants, metrics=metrics, enforce=True)
+    app = RestApp("gate-deferred")
+    app.add_middleware(gate)
+
+    def parks(request, name):
+        raise DeferredResponse(
+            render=lambda: Response.json({}, status=201), park=lambda resume: None, timeout=1.0
+        )
+
+    app.route("POST", "/services/{name}", parks)
+    request = Request(method="POST", path="/services/work")
+    request.headers.set(TENANT_HEADER, "t")
+    with pytest.raises(DeferredResponse) as parked:
+        app.handle(request)
+    assert gate._in_flight == {}
+    assert 'tenant="t"' not in metrics.render()
+    assert parked.value.render().status == 201
+    page = metrics.render()
+    assert 'mc_tenant_requests_total{tenant="t",status="201"} 1' in page
+    assert 'mc_tenant_request_seconds_count{tenant="t"} 1' in page

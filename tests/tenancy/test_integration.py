@@ -167,6 +167,48 @@ def response_names_backlog(response):
     return "backlog" in response.json_body["error"].lower()
 
 
+class TestParkedSubmitIsSampled:
+    def test_waited_submit_lands_one_201_sample_when_it_renders(self, registry, client):
+        """A waited submit parks on the event loop: the gated request is
+        the parked one, so its per-tenant sample must land at render time
+        (status 201, the whole wait) instead of being skipped."""
+        container = ServiceContainer("tp", handlers=2, registry=registry)
+        container.enable_tenancy().register(TenantSpec(name="acme"))
+        gate = threading.Event()
+        container.deploy(work_config(gate))
+        container.serve(port=0)
+        box = {}
+
+        def waited():
+            box["response"] = client.request_raw(
+                "POST", container.service_uri("work"), query={"wait": 10},
+                body=b'{"x": -1}', headers={TENANT_HEADER: "acme"},
+            )
+
+        try:
+            thread = threading.Thread(target=waited)
+            thread.start()
+            wait_until(lambda: container.service("work").jobs.list(), message="no job")
+            threading.Event().wait(0.2)  # parked well past creation
+            assert 'tenant="acme",status="201"' not in container.metrics.render()
+            gate.set()
+            thread.join(timeout=8)
+            assert not thread.is_alive()
+            assert box["response"].status == 201
+            assert box["response"].json_body["state"] == "DONE"
+            page = container.metrics.render()
+            assert 'mc_tenant_requests_total{tenant="acme",status="201"} 1' in page
+            assert 'mc_tenant_request_seconds_count{tenant="acme"} 1' in page
+            seconds = float(next(
+                line for line in page.splitlines()
+                if line.startswith('mc_tenant_request_seconds_sum{tenant="acme"}')
+            ).split()[-1])
+            assert seconds >= 0.2  # the full duration, not just up to the park
+        finally:
+            gate.set()
+            container.shutdown()
+
+
 class TestCrashSafeAccounting:
     def _container(self, registry, tmp_path):
         container = ServiceContainer(

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.container import ServiceContainer
 from repro.workflow.engine import (
     BlockState,
     WorkflowCancelled,
@@ -244,3 +245,110 @@ class TestCancellation:
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert "error" in box
+
+
+def single_block_workflow(container, service, constants):
+    """One service block fed by constants; its first output is the result."""
+    workflow = Workflow("one")
+    block = ServiceBlock("s", uri=container.service_uri(service))
+    block.introspect(container.registry)
+    workflow.add(block)
+    for name, value in constants.items():
+        workflow.add(ConstBlock(f"c_{name}", value=value))
+        workflow.connect(f"c_{name}.value", f"s.{name}")
+    workflow.add(OutputBlock("out"))
+    workflow.connect(f"s.{block.outputs[0].name}", "out.value")
+    return workflow
+
+
+@pytest.fixture()
+def sent(registry):
+    """Every request the engine sends, as ``(method, url)``."""
+    log = []
+    original = registry.request
+
+    def recording(method, url, **kwargs):
+        if "/jobs" in url or method != "GET":  # not block introspection
+            log.append((method, url))
+        return original(method, url, **kwargs)
+
+    registry.request = recording
+    return log
+
+
+class TestWaitedSubmit:
+    """One round trip per service block: the submit itself waits."""
+
+    def test_quick_block_is_one_request(self, container, engine, sent):
+        workflow = single_block_workflow(container, "add", {"a": 2, "b": 3})
+        assert engine.execute(workflow) == {"out": 5}
+        assert [method for method, _ in sent] == ["POST"]
+        assert sent[0][1].endswith("/services/add?wait=0.5")
+
+    def test_sync_mode_block_is_one_request(self, container, engine, sent):
+        container.deploy({
+            "description": {
+                "name": "inc",
+                "inputs": {"x": {"schema": {"type": "number"}}},
+                "outputs": {"y": {"schema": {"type": "number"}}},
+            },
+            "adapter": "python",
+            "mode": "sync",
+            "config": {"callable": lambda x: {"y": x + 1}},
+        })
+        workflow = single_block_workflow(container, "inc", {"x": 1})
+        assert engine.execute(workflow) == {"out": 2}
+        assert [method for method, _ in sent] == ["POST"]
+
+    def test_cache_hit_block_is_one_request(self, registry, engine, sent):
+        cached = ServiceContainer("cached-math", handlers=2, registry=registry, cache=True)
+        try:
+            cached.deploy({
+                "description": {
+                    "name": "double",
+                    "inputs": {"x": {"schema": {"type": "number"}}},
+                    "outputs": {"y": {"schema": {"type": "number"}}},
+                },
+                "adapter": "python",
+                "config": {"callable": lambda x: {"y": 2 * x}},
+            })
+            workflow = single_block_workflow(cached, "double", {"x": 4})
+            assert engine.execute(workflow) == {"out": 8}
+            del sent[:]
+            assert engine.execute(workflow) == {"out": 8}  # answered by the cache
+            assert [method for method, _ in sent] == ["POST"]
+            assert cached.cache.stats.hits == 1
+        finally:
+            cached.shutdown()
+
+    def test_slow_block_continues_with_long_poll_chunks(self, container, registry, sent):
+        engine = WorkflowEngine(registry, wait_chunk=0.1)
+        workflow = single_block_workflow(container, "slow", {"x": 7, "delay": 0.35})
+        assert engine.execute(workflow) == {"out": 7}
+        methods = [method for method, _ in sent]
+        assert methods[0] == "POST" and set(methods[1:]) == {"GET"}
+        assert 2 <= len(methods) - 1 <= 5  # 0.35 s in 0.1 s chunks, after the POST's own
+        assert all(url.endswith("?wait=0.1") for _, url in sent)
+
+    def test_cancel_during_the_waited_submit_deletes_the_job(self, container, engine, sent):
+        workflow = single_block_workflow(container, "slow", {"x": 1, "delay": 5})
+        cancel = threading.Event()
+        box = {}
+
+        def run():
+            try:
+                engine.execute(workflow, cancel_event=cancel)
+            except WorkflowCancelled as exc:
+                box["error"] = exc
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        time.sleep(0.1)  # the POST is out, waiting its wait_chunk (0.5 s)
+        cancelled_at = time.monotonic()
+        cancel.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive() and "error" in box
+        # noticed when the submit came back, before any follow-up poll
+        assert time.monotonic() - cancelled_at < engine.wait_chunk + 0.4
+        assert [method for method, _ in sent] == ["POST", "DELETE"]
+        assert container.service("slow").jobs.list() == []

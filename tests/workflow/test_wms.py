@@ -42,6 +42,20 @@ class TestCompositeService:
         proxy = ServiceProxy(wms.service_uri("diamond"), registry)
         assert proxy(n=4, timeout=15)["result"] == (4 + 1) + (4 * 2)
 
+    def test_waited_submit_answers_with_the_finished_instance(self, wms, container, registry):
+        # composite services are mounted by the same mount_service: the
+        # POST half of ?wait= comes with it
+        wms.deploy_workflow(diamond_workflow(container))
+        response = RestClient(registry).request_raw(
+            "POST", wms.service_uri("diamond"), query={"wait": 10}, body=b'{"n": 4}'
+        )
+        assert response.status == 201
+        job = response.json_body
+        assert response.headers.get("Location") == job["uri"]
+        assert job["state"] == "DONE"
+        assert job["results"] == {"result": 13}
+        assert all(state == "DONE" for state in job["blocks"].values())
+
     def test_instance_uri_shows_block_states(self, wms, container, registry):
         wms.deploy_workflow(diamond_workflow(container))
         client = RestClient(registry)
