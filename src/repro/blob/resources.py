@@ -59,7 +59,9 @@ def mount_blob_store(
         content_type = request.content_type or OCTET_STREAM
         upload = store.begin_upload(content_type=content_type)
         try:
-            for piece in request.body_chunks():
+            # read at the store's chunk size: every full piece is one chunk,
+            # hashed and written from the buffer it was read into
+            for piece in request.body_chunks(store.chunk_size):
                 upload.write(piece)
             manifest = upload.commit(expected=expected)
         except BlobDigestMismatch as exc:

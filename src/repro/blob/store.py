@@ -137,20 +137,31 @@ class BlobUpload:
     def size(self) -> int:
         return self._size
 
-    def write(self, data: bytes) -> None:
+    def write(self, data: "bytes | bytearray | memoryview") -> None:
         if self._done:
             raise BlobError("upload already committed or aborted")
         if not data:
             return
-        self._hasher.update(bytes(data))
+        self._hasher.update(data)
         self._size += len(data)
-        self._pending.extend(data)
         chunk_size = self._store.chunk_size
-        while len(self._pending) >= chunk_size:
-            self._flush(bytes(self._pending[:chunk_size]))
-            del self._pending[:chunk_size]
+        with memoryview(data) as view:
+            start = 0
+            if self._pending:
+                # top up the chunk an earlier, unaligned write left open
+                start = chunk_size - len(self._pending)
+                self._pending.extend(view[:start])
+                if len(self._pending) < chunk_size:
+                    return
+                self._flush(self._pending)
+                self._pending = bytearray()
+            # whole chunks go to disk straight from the caller's buffer
+            while len(view) - start >= chunk_size:
+                self._flush(view[start : start + chunk_size])
+                start += chunk_size
+            self._pending.extend(view[start:])
 
-    def _flush(self, chunk: bytes) -> None:
+    def _flush(self, chunk: "bytes | bytearray | memoryview") -> None:
         digest = hash_bytes(chunk)
         self._store._write_chunk(digest, chunk)
         self._chunks.append([digest, len(chunk)])
@@ -166,7 +177,7 @@ class BlobUpload:
             raise BlobError("upload already committed or aborted")
         self._done = True
         if self._pending:
-            self._flush(bytes(self._pending))
+            self._flush(self._pending)
             self._pending = bytearray()
         digest = self._hasher.hexdigest()
         if expected is not None and expected != digest:
@@ -243,7 +254,7 @@ class BlobStore:
             upload.write(piece)
         return upload.commit()
 
-    def _write_chunk(self, digest: str, chunk: bytes) -> None:
+    def _write_chunk(self, digest: str, chunk: "bytes | bytearray | memoryview") -> None:
         """Persist one chunk under its digest (idempotent, atomic)."""
         target = self._chunk_dir / digest
         if target.exists():

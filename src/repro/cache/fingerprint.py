@@ -75,7 +75,7 @@ def hash_bytes(content: "bytes | Iterable[bytes]") -> str:
     """SHA-256 of ``content`` (a buffer or any iterable of chunks)."""
     hasher = ContentHasher()
     if isinstance(content, (bytes, bytearray, memoryview)):
-        hasher.update(bytes(content))
+        hasher.update(content)
     else:
         for chunk in content:
             hasher.update(chunk)

@@ -101,18 +101,23 @@ def make_blob_ref(
     return reference
 
 
+def iter_blob_refs(value: Any) -> Iterator[dict[str, Any]]:
+    """Yield every blob-reference envelope anywhere inside ``value``."""
+    if is_blob_ref(value):
+        yield value
+        return
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from iter_blob_refs(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from iter_blob_refs(item)
+
+
 def iter_blob_digests(value: Any) -> Iterator[str]:
     """Yield every blob digest referenced anywhere inside ``value``.
 
     Used for pin bookkeeping: a job pins the blobs its inputs and results
     reference for as long as the job exists.
     """
-    if is_blob_ref(value):
-        yield value["$blob"]
-        return
-    if isinstance(value, dict):
-        for item in value.values():
-            yield from iter_blob_digests(item)
-    elif isinstance(value, list):
-        for item in value:
-            yield from iter_blob_digests(item)
+    return (reference["$blob"] for reference in iter_blob_refs(value))

@@ -23,7 +23,7 @@ import time
 from typing import Mapping
 
 from repro.faults.plan import TRANSPORT_KINDS, FaultPlan
-from repro.http.messages import Response
+from repro.http.messages import BodySpool, Response
 from repro.http.transport import ConnectError, Transport, TransportError
 
 
@@ -41,7 +41,7 @@ class FaultInjectingTransport(Transport):
         method: str,
         url: str,
         headers: Mapping[str, str] | None = None,
-        body: bytes = b"",
+        body: "bytes | BodySpool" = b"",
     ) -> Response:
         fault = self.plan.decide(self.site, subject=f"{method.upper()} {url}", kinds=TRANSPORT_KINDS)
         if fault is None:

@@ -29,6 +29,7 @@ from typing import Any, Callable
 from urllib.parse import urlencode
 
 from repro.cache import routing_hint
+from repro.core.filerefs import iter_blob_refs
 from repro.gateway.balancer import Policy, create_policy, ring_successor
 from repro.gateway.breaker import RetryBudget
 from repro.gateway.handoff import HandoffTable
@@ -43,7 +44,7 @@ from repro.gateway.routing import (
 )
 from repro.http.app import RestApp
 from repro.http.client import IDEMPOTENCY_KEY_HEADER, X_CACHE_HEADER, parse_retry_after
-from repro.http.messages import Headers, HttpError, Request, Response
+from repro.http.messages import BodySpool, Headers, HttpError, Request, Response
 from repro.http.registry import TransportRegistry
 from repro.http.server import RestServer
 from repro.http.transport import ConnectError, TransportError
@@ -156,8 +157,11 @@ class ServiceGateway:
         self._server: RestServer | None = None
         # what the replicas' result caches did with our submits, as seen
         # in their X-Cache answers (surfaced in /health)
-        self._cache_lock = threading.Lock()
+        self._stats_lock = threading.Lock()
         self._cache_counts = {"hit": 0, "coalesced": 0, "miss": 0}
+        # where submits referencing gateway-advertised blobs ended up: on
+        # the replica holding the bytes, or elsewhere (which then stages)
+        self._data_home_counts = {"home": 0, "fallback": 0}
         self.local_base = self.registry.bind_local(name, self.app)
         self.app.route("GET", "/", self._health)
         self.app.route("GET", "/health", self._health)
@@ -446,6 +450,7 @@ class ServiceGateway:
             "retry_budget": self.retry_budget.balance,
             "idempotency_entries": len(self.idempotency),
             "cache": self.cache_stats,
+            "data_home": self.data_home_stats,
         }
         if self.autoscaler is not None:
             document["autoscaler"] = self.autoscaler.snapshot()
@@ -454,8 +459,16 @@ class ServiceGateway:
     @property
     def cache_stats(self) -> dict[str, int]:
         """Replica cache outcomes observed on submits (hit/coalesced/miss)."""
-        with self._cache_lock:
+        with self._stats_lock:
             return dict(self._cache_counts)
+
+    @property
+    def data_home_stats(self) -> dict[str, int]:
+        """Submits referencing blobs this gateway advertised: how many the
+        replica holding the bytes took (``home``), how many went to
+        another replica and staged them (``fallback``)."""
+        with self._stats_lock:
+            return dict(self._data_home_counts)
 
     def _status(self, request: Request) -> Response:
         """Platform-wide health: fan out to replica ``/metrics``, merge."""
@@ -506,17 +519,24 @@ class ServiceGateway:
         # body_bytes, not body: a large submission may have been spilled to
         # a spool by the HTTP core, leaving request.body empty
         body = request.body_bytes
+        # a job that consumes blobs this gateway advertised runs best where
+        # the bytes already are; like the key, a pure function of the body
+        home = self._data_home(body) if b'"$blob"' in body else None
         replica, response = self._forward(
             "POST",
             f"/services/{name}",
             request,
             self._submit_verdict,
             key=routing_hint(name, body),
+            home=home,
             body=body,
             idempotency_key=idempotency_key,
             limit=self.max_attempts,
             budget=self.retry_budget,
         )
+        if home is not None:
+            with self._stats_lock:
+                self._data_home_counts["home" if replica is home else "fallback"] += 1
         if response.status >= 500:
             # only an unkeyed submit gets here: the replica's own answer
             return self._proxied(response)
@@ -526,6 +546,33 @@ class ServiceGateway:
         if idempotency_key and response.ok:
             self.idempotency.put(idempotency_key, replica.id, rewritten)
         return rewritten
+
+    def _data_home(self, body: bytes) -> "Replica | None":
+        """The replica holding most of the bytes a submit body references.
+
+        Counts only references this gateway advertised — a ``$blob`` whose
+        ``$file`` is ``<base_uri>/blobs/<replica>.<digest>`` — weighted by
+        their ``size``; a retired holder counts for the successor that
+        took its place. None when the body references no such blob (or is
+        not JSON): placement is then the policy's alone.
+        """
+        try:
+            document = json.loads(body)
+        except ValueError:
+            return None
+        prefix = f"{self.base_uri}/blobs/"
+        held: dict[str, int] = {}
+        for reference in iter_blob_refs(document):
+            uri, size = reference.get("$file"), reference.get("size")
+            if not (isinstance(uri, str) and uri.startswith(prefix)):
+                continue
+            holder_id = decode_blob_ref(uri[len(prefix):])[0]
+            if holder_id is not None and self.replicas.get(holder_id) is None:
+                holder_id = self.handoffs.resolve(holder_id)
+            if holder_id is not None:
+                weight = size if isinstance(size, int) and size > 0 else 0
+                held[holder_id] = held.get(holder_id, 0) + weight
+        return self.replicas.get(max(held, key=held.get)) if held else None
 
     def _submit_verdict(
         self,
@@ -690,8 +737,10 @@ class ServiceGateway:
             if replica_id is not None:
                 pinned = self._pin_replica(replica_id)
         method, path = ("PUT", f"/blobs/{digest}") if digest is not None else ("POST", "/blobs")
+        # a spilled upload is relayed from its spool, never read into memory
+        body = request.spool if request.spool is not None else request.body
         replica, response = self._forward(
-            method, path, request, _answer, pinned=pinned, key=digest, body=request.body_bytes
+            method, path, request, _answer, pinned=pinned, key=digest, body=body
         )
         if not response.ok:
             return self._proxied(response)
@@ -732,7 +781,8 @@ class ServiceGateway:
         *,
         pinned: Replica | None = None,
         key: str | None = None,
-        body: bytes = b"",
+        home: Replica | None = None,
+        body: "bytes | BodySpool" = b"",
         idempotency_key: str | None = None,
         limit: int | None = None,
         budget: RetryBudget | None = None,
@@ -740,11 +790,12 @@ class ServiceGateway:
         """The one way a request reaches a replica: the candidate loop.
 
         Each turn admits one candidate — ``pinned`` if given, else the
-        replica ``idempotency_key`` is bound to, else the balancing
-        policy's pick for ``key`` — sends to it once, and asks ``verdict``
-        whether that outcome goes to the next candidate (True) or is the
-        client's answer. At most ``limit`` sends (default: one per
-        replica); every send after the first spends a ``budget`` token.
+        replica ``idempotency_key`` is bound to, else ``home`` (once, and
+        only while it is healthy and admits the request), else the
+        balancing policy's pick for ``key`` — sends to it once, and asks
+        ``verdict`` whether that outcome goes to the next candidate (True)
+        or is the client's answer. At most ``limit`` sends (default: one
+        per replica); every send after the first spends a ``budget`` token.
         An answer that is a transport failure becomes 502; running out of
         candidates becomes 404, 429 or 503 + ``Retry-After``.
         """
@@ -760,6 +811,15 @@ class ServiceGateway:
             else:
                 if idempotency_key:
                     replica, refusal = self._bound_replica(idempotency_key)
+                if (
+                    replica is None
+                    and refusal is None
+                    and home is not None
+                    and home.id not in tried
+                    and home.state is ReplicaState.HEALTHY
+                    and self._admit(home) is None
+                ):
+                    replica = home
                 if replica is None and refusal is None:
                     replica, refusal = self._select(tried, key)
             if replica is None:
@@ -814,7 +874,13 @@ class ServiceGateway:
         return None
 
     def _send(
-        self, replica: Replica, method: str, url: str, headers: dict[str, str], body: bytes, path: str
+        self,
+        replica: Replica,
+        method: str,
+        url: str,
+        headers: dict[str, str],
+        body: "bytes | BodySpool",
+        path: str,
     ) -> "tuple[str, Response | TransportError]":
         """One attempt on an admitted replica: span, send, release, report.
 
@@ -911,7 +977,7 @@ class ServiceGateway:
         if cache_status:
             rewritten.headers.set(X_CACHE_HEADER, cache_status)
             if cache_status in self._cache_counts:
-                with self._cache_lock:
+                with self._stats_lock:
                     self._cache_counts[cache_status] += 1
         return rewritten
 

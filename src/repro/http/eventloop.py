@@ -70,6 +70,11 @@ logger = logging.getLogger(__name__)
 #: One ``recv`` worth of bytes; large enough that small requests arrive whole.
 RECV_SIZE = 65536
 
+#: A buffered response body above this is not joined to its head: it goes
+#: out behind the head in slices of this size, through the write path a
+#: streaming response takes.
+LARGE_BODY = 65536
+
 #: Pipelined requests buffered per connection before the loop stops
 #: reading from it (read resumes as responses drain) — bounds the memory
 #: a single pipelining client can pin.
@@ -679,6 +684,7 @@ class RestServer:
 
     def _handle(self, connection: _Connection, request: Request, close_after: bool) -> None:
         """Run one request on a pool worker and write (or park) its response."""
+        parked = False
         try:
             decision = None
             hook = self.fault_hook
@@ -692,7 +698,8 @@ class RestServer:
             try:
                 response = self.app.handle(request)
             except DeferredResponse as deferred:
-                self._park(connection, deferred, close_after, head)
+                parked = True
+                self._park(connection, request, deferred, close_after, head)
                 return
             if decision == "drop-mid-write":
                 payload = serialize_response(
@@ -704,10 +711,15 @@ class RestServer:
         except Exception:  # noqa: BLE001 - a handler bug must not leak the socket
             logger.exception("event-loop request handling failed")
             connection.loop.call_soon(lambda: connection.loop._abort(connection))
+        finally:
+            if not parked:
+                # answered (or severed): a spilled body's temp file goes now
+                request.close()
 
     def _park(
         self,
         connection: _Connection,
+        request: Request,
         deferred: DeferredResponse,
         close_after: bool,
         head: bool,
@@ -717,7 +729,8 @@ class RestServer:
         The connection stays ``busy`` (pipelined successors wait their
         turn) while its worker thread is released. ``resume`` is
         idempotent: whichever of the observer callback and the timer
-        fires first wins, the other is a no-op.
+        fires first wins, the other is a no-op. Whichever way the parked
+        request ends, ``request`` is closed.
         """
         state_lock = threading.Lock()
         state = {"fired": False, "timer": None}
@@ -730,12 +743,15 @@ class RestServer:
                 timer = state["timer"]
             if timer is not None:
                 timer.cancelled = True
-            if connection.closed:
-                return
-            try:
-                self._pool.submit(self._finish_parked, connection, deferred.render, close_after, head)
-            except RuntimeError:  # stopped while parked
-                pass
+            if not connection.closed:
+                try:
+                    self._pool.submit(
+                        self._finish_parked, connection, request, deferred.render, close_after, head
+                    )
+                    return
+                except RuntimeError:  # stopped while parked
+                    pass
+            request.close()
 
         def arm_timer() -> None:
             with state_lock:
@@ -749,18 +765,21 @@ class RestServer:
     def _finish_parked(
         self,
         connection: _Connection,
+        request: Request,
         render: Callable[[], object],
         close_after: bool,
         head: bool,
     ) -> None:
-        if connection.closed:
-            return
         try:
+            if connection.closed:
+                return
             response = render()
             self.send_response(connection, response, head=head, close_after=close_after)
         except Exception:  # noqa: BLE001 - render is kernel-wrapped; belt and braces
             logger.exception("deferred response rendering failed")
             connection.loop.call_soon(lambda: connection.loop._abort(connection))
+        finally:
+            request.close()
 
     def _sever_mid_write(self, connection: _Connection, payload: bytes) -> None:
         """Write roughly half the response, then cut the socket (fault seam)."""
@@ -780,29 +799,35 @@ class RestServer:
         head: bool = False,
         close_after: bool = False,
     ) -> None:
-        """Write one response, streaming its body when it carries a chunk
-        iterator; callable from any thread.
+        """Write one response; callable from any thread.
 
-        Buffered responses take the single-buffer :meth:`send_payload`
-        path unchanged. A streaming response queues its serialized head
-        and parks the iterator on the connection; the write path (direct
-        drain here, then the loop as the socket accepts bytes) pulls one
-        chunk at a time, so the body never materializes server-side.
+        A small buffered response takes the single-buffer
+        :meth:`send_payload` path. A streaming response queues its
+        serialized head and parks the chunk iterator on the connection;
+        the write path (direct drain here, then the loop as the socket
+        accepts bytes) pulls one chunk at a time, so the body never
+        materializes server-side. A large buffered body goes the same
+        way, as slices of itself: it is never joined to its head nor
+        copied into the backlog whole.
         """
         if close_after:
             connection.close_after = True
-        if response.stream is None or head:
+        stream = None if head else response.stream
+        if stream is None and not head and len(response.body) > LARGE_BODY:
+            body = memoryview(response.body)
+            stream = (body[at : at + LARGE_BODY] for at in range(0, len(body), LARGE_BODY))
+        if stream is None:
             self.send_payload(
                 connection, serialize_response(response, head=head, close=close_after)
             )
             return
-        header = serialize_response(response, close=close_after)
+        header = serialize_response(response, head=True, close=close_after)
         loop = connection.loop
         with connection.lock:
             if connection.closed:
                 return
             connection.outbuf.extend(header)
-            connection.stream = response.stream
+            connection.stream = stream
             done = loop._send_backlog_locked(connection)
             if done and loop._complete_inline_locked(connection):
                 return

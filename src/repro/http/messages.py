@@ -8,6 +8,7 @@ resources) and nothing more.
 from __future__ import annotations
 
 import json
+import socket
 import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
@@ -157,14 +158,21 @@ class HttpError(Exception):
 class BodySpool:
     """A request body spilled to an anonymous temp file.
 
-    Created by the parser for bodies above the spill threshold; deleted
-    by the OS when the last handle drops (``TemporaryFile`` is unlinked
-    at creation), so no cleanup protocol is needed.
+    Created by the parser for bodies above the spill threshold. The file
+    is unlinked at creation, so the OS reclaims it when the handle drops;
+    the server closes it once the request's response is on its way
+    (:meth:`Request.close`) instead of waiting for garbage collection.
+
+    ``len(spool)`` is the body length, so code that only needs the size
+    of a body treats a spool like a buffer.
     """
 
     def __init__(self) -> None:
         self._file = tempfile.TemporaryFile()
         self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
 
     def write(self, data: bytes) -> None:
         self._file.write(data)
@@ -181,6 +189,13 @@ class BodySpool:
             if not piece:
                 return
             yield piece
+
+    def send_to(self, sock: socket.socket) -> None:
+        """Send the whole body over ``sock`` from byte 0, file to socket
+        (``sendfile``): the bytes never become a Python object. Every call
+        starts over, so a request can be re-sent."""
+        self._file.flush()
+        sock.sendfile(self._file, 0, self.size)
 
     def close(self) -> None:
         self._file.close()
@@ -250,6 +265,11 @@ class Request:
         if self.spool is not None:
             return self.spool.chunks(chunk_size)
         return iter((self.body,)) if self.body else iter(())
+
+    def close(self) -> None:
+        """Release a spilled body's temp file (the body is gone after)."""
+        if self.spool is not None:
+            self.spool.close()
 
     @property
     def text(self) -> str:

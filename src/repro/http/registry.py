@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.http.app import RestApp
-from repro.http.messages import Response
+from repro.http.messages import BodySpool, Response
 from repro.http.transport import HttpTransport, LocalTransport, Transport, TransportError
 
 
@@ -50,7 +50,7 @@ class TransportRegistry:
         method: str,
         url: str,
         headers: Mapping[str, str] | None = None,
-        body: bytes = b"",
+        body: "bytes | BodySpool" = b"",
     ) -> Response:
         """Send one request to an absolute ``url`` via the owning transport."""
         return self.transport_for(url).request(method, url, headers=headers, body=body)

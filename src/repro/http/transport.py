@@ -10,7 +10,6 @@ the full request/response model including headers, status codes and bodies.
 
 from __future__ import annotations
 
-import io
 import re
 import socket
 import threading
@@ -21,6 +20,7 @@ from urllib.parse import urlsplit
 from repro.http.app import RestApp
 from repro.http.messages import (
     DEFAULT_MAX_HEADER_BYTES,
+    BodySpool,
     Headers,
     ProtocolError,
     Request,
@@ -57,11 +57,13 @@ class Transport:
         method: str,
         url: str,
         headers: Mapping[str, str] | None = None,
-        body: bytes = b"",
+        body: "bytes | BodySpool" = b"",
     ) -> Response:
         """Send one request to an absolute ``url`` and return the response.
 
-        Raises :class:`TransportError` when the authority cannot be reached;
+        ``body`` is a buffer or a server-side request's spilled body (what
+        a relay forwards without reading it into memory). Raises
+        :class:`TransportError` when the authority cannot be reached;
         HTTP-level errors (4xx/5xx) are returned as normal responses.
         """
         raise NotImplementedError
@@ -172,20 +174,6 @@ def _render_head(
     return "\r\n".join(lines).encode("latin-1")
 
 
-class _RawSocket(io.RawIOBase):
-    """A socket's receiving side as a raw stream: ``readinto`` is
-    ``recv_into`` the caller's buffer."""
-
-    def __init__(self, sock: socket.socket):
-        self._sock = sock
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:  # noqa: ANN001 - any writable buffer
-        return self._sock.recv_into(buffer)
-
-
 class ResponseReader:
     """Incremental reader of one HTTP/1.x response off a blocking socket.
 
@@ -194,7 +182,9 @@ class ResponseReader:
     everything up to EOF — skips interim 1xx responses, and knows the
     replies that never carry a body (to HEAD, 204, 304). The header block
     goes through the same :func:`~repro.http.messages.split_head` grammar
-    the server's request parser uses.
+    the server's request parser uses. A large ``Content-Length`` body is
+    handed over as the ``bytearray`` it was received into (it hashes,
+    slices, decodes and compares like ``bytes``), not copied into one.
 
     After :meth:`read`, ``reusable`` says whether the socket may carry
     another exchange: the peer did not announce a close, the body was not
@@ -258,20 +248,21 @@ class ResponseReader:
                     raise NoStatusLine("connection closed before any response byte")
                 raise BadResponse("connection closed inside the response head")
 
-    def _read_exact(self, length: int) -> bytes:
-        if length > _LARGE_BODY and len(self._buffer) < length:
-            # BufferedReader.read(n) allocates its result once and has the
-            # socket fill it in place (no list of pieces to join); with a
-            # block size of 1 it asks for exactly what is missing and
-            # leaves any surplus byte on the socket
-            missing = length - len(self._buffer)
-            rest = io.BufferedReader(_RawSocket(self._sock), buffer_size=1).read(missing)
-            if len(rest) < missing:
-                raise BadResponse(
-                    f"body cut short: {len(self._buffer) + len(rest)} of {length} bytes"
-                )
-            body = self._buffer + rest
+    def _read_exact(self, length: int) -> "bytes | bytearray":
+        have = len(self._buffer)
+        if length > _LARGE_BODY and have < length:
+            # one buffer of the final size, filled in place: what arrived
+            # with the head goes in first, the socket writes the rest
+            # behind it (never past it: a surplus byte stays on the socket)
+            body = bytearray(length)
+            body[:have] = self._buffer
             self._buffer = b""
+            with memoryview(body) as view:
+                while have < length:
+                    received = self._sock.recv_into(view[have:])
+                    if not received:
+                        raise BadResponse(f"body cut short: {have} of {length} bytes")
+                    have += received
             return body
         while len(self._buffer) < length:
             if not self._fill():
@@ -322,7 +313,8 @@ class HttpTransport(Transport):
     """Carries requests over TCP with a small native HTTP/1.1 client.
 
     A request goes out as one ``sendall`` (head and body together unless
-    the body is large); the reply is read by :class:`ResponseReader`,
+    the body is large; a spilled body goes from its file to the socket,
+    from byte 0 on every send); the reply is read by :class:`ResponseReader`,
     which understands ``Content-Length``, ``chunked`` and close-delimited
     bodies. ``timeout`` bounds every socket operation (connect, send,
     each receive) on its own.
@@ -357,7 +349,7 @@ class HttpTransport(Transport):
         method: str,
         url: str,
         headers: Mapping[str, str] | None = None,
-        body: bytes = b"",
+        body: "bytes | BodySpool" = b"",
     ) -> Response:
         parts = urlsplit(url)
         if parts.scheme != "http":
@@ -436,10 +428,13 @@ class HttpTransport(Transport):
         authority: tuple[str, int],
         method: str,
         head: bytes,
-        body: bytes,
+        body: "bytes | BodySpool",
     ) -> Response:
         """One request/response on ``sock``, which is pooled again or closed."""
-        if len(body) <= _LARGE_BODY:
+        if isinstance(body, BodySpool):
+            sock.sendall(head)
+            body.send_to(sock)
+        elif len(body) <= _LARGE_BODY:
             sock.sendall(head + body)
         else:
             sock.sendall(head)
@@ -482,7 +477,7 @@ class LocalTransport(Transport):
         method: str,
         url: str,
         headers: Mapping[str, str] | None = None,
-        body: bytes = b"",
+        body: "bytes | BodySpool" = b"",
     ) -> Response:
         parts = urlsplit(url)
         if parts.scheme != "local":
@@ -493,6 +488,9 @@ class LocalTransport(Transport):
         target = parts.path or "/"
         if parts.query:
             target += "?" + parts.query
+        if isinstance(body, BodySpool):
+            # no wire to stream over: the in-process app gets a buffer
+            body = body.read_all()
         request = Request.from_target(method, target, headers=Headers(dict(headers or {})), body=body)
         # local callers receive a complete Response object, so a streaming
         # body is collapsed here (the socket cores are where streaming pays)

@@ -418,6 +418,10 @@ def instrument_gateway(gateway: Any) -> None:
         return [((outcome,), count)
                 for outcome, count in sorted(gateway.cache_stats.items())]
 
+    def data_home_outcomes():
+        return [((outcome,), count)
+                for outcome, count in sorted(gateway.data_home_stats.items())]
+
     metrics.collector(
         "mc_gateway_replicas", "Replicas behind this gateway, by health state.",
         "gauge", replicas_by_state, labels=("state",))
@@ -450,6 +454,11 @@ def instrument_gateway(gateway: Any) -> None:
         "mc_gateway_cache_outcomes_total",
         "Replica result-cache outcomes observed on forwarded submits.",
         "counter", cache_outcomes, labels=("outcome",))
+    metrics.collector(
+        "mc_gateway_data_home_total",
+        "Submits referencing gateway-advertised blobs: taken by the replica "
+        "holding the bytes (home) or by another, which stages them (fallback).",
+        "counter", data_home_outcomes, labels=("outcome",))
 
     def server_stat(attribute):
         def read():

@@ -189,6 +189,7 @@ def gateway_status(gateway: Any) -> dict[str, Any]:
         "retry_budget": gateway.retry_budget.balance,
         "idempotency_entries": len(gateway.idempotency),
         "cache": gateway.cache_stats,
+        "data_home": gateway.data_home_stats,
         "replicas": replicas,
         "handoffs": handoffs.snapshot() if handoffs is not None else {},
         "autoscaler": autoscaler.snapshot() if autoscaler is not None else None,

@@ -11,9 +11,15 @@ A waited submit (``POST …?wait=``) is one more route class of the same
 matrix — the query rides the one forward path — and, because it holds its
 attempt open for the wait, gets two cells of its own against real
 replicas: a duplicate key and a dropped connection, both *mid-wait*.
+
+A submit that references blobs the gateway advertised has one candidate
+more, ahead of the policy's pick: the replica holding the bytes. The last
+section runs those rows against real replicas whose jobs read the blob.
 """
 
+import hashlib
 import itertools
+import json
 import threading
 import time
 
@@ -30,7 +36,7 @@ from repro.http.messages import HttpError, Response
 from repro.http.registry import TransportRegistry
 from repro.http.transport import HttpTransport, Transport
 from tests.gateway.test_replay_binding import DropResponses
-from tests.waiters import wait_until
+from tests.waiters import wait_for_state, wait_until
 
 DIGEST = "d" * 64
 _counter = itertools.count()
@@ -103,16 +109,18 @@ class CountingBreaker(CircuitBreaker):
 
 
 class CountingTransport(Transport):
-    """Counts the requests the gateway sends towards each replica."""
+    """Counts (and lists) the requests sent towards each authority."""
 
     def __init__(self, inner):
         self.inner = inner
         self.schemes = inner.schemes
         self.sent = {}
+        self.requests = []
 
     def request(self, method, url, headers=None, body=b""):
         authority = url.split("/")[2]
         self.sent[authority] = self.sent.get(authority, 0) + 1
+        self.requests.append(f"{method} {url}")
         return self.inner.request(method, url, headers=headers, body=body)
 
 
@@ -334,3 +342,222 @@ def test_dropped_mid_wait_retries_on_the_bound_replica(waited_cell):
     owner = "r0" if containers[0].service("hold").jobs.list() else "r1"
     assert response.json_body["id"] == f"{owner}.{job.id}"
     assert len(job._observers) == 0
+
+
+# ------------------------------------------------------- data-home placement
+
+
+class Prefer:
+    """The policy's pick is the named replica whenever it is a candidate."""
+
+    def __init__(self, replica_id):
+        self.id = replica_id
+
+    def choose(self, candidates, key=None):
+        return next((c for c in candidates if c.id == self.id), candidates[0])
+
+
+class BlobCell:
+    """Gateway → three real replicas (r0, r1, r2) whose ``sink`` job reads
+    every blob it is handed; the policy's own pick is r2 throughout."""
+
+    def __init__(self, request):
+        suffix = next(_counter)
+        self.registry = TransportRegistry()
+        self.transport = CountingTransport(self.registry.local)
+        self.registry.add_transport(self.transport)
+        self.release = threading.Event()
+        request.addfinalizer(self.release.set)
+
+        def consume(context, refs):
+            # parked until the test says go, so an obstacle on the holder
+            # can be lifted between placement and staging
+            self.release.wait(10)
+            return {"digests": [hashlib.sha256(context.fetch_file(ref)).hexdigest() for ref in refs]}
+
+        self.containers = []
+        for index in range(3):
+            container = ServiceContainer(f"dh{suffix}-{index}", handlers=2, registry=self.registry)
+            container.deploy({
+                "description": {
+                    "name": "sink",
+                    "inputs": {"refs": {"schema": {"type": "array"}}},
+                    "outputs": {"digests": {"schema": {"type": "array"}}},
+                },
+                "adapter": "python",
+                "config": {"callable": consume},
+            })
+            self.containers.append(container)
+            request.addfinalizer(container.shutdown)
+        self.gateway = ServiceGateway(
+            registry=self.registry,
+            name=f"dh{suffix}-gw",
+            replicas=ReplicaSet(registry=self.registry, max_in_flight=1),
+            policy=Prefer("r2"),
+        )
+        self.replicas = [self.gateway.add_replica(c.local_base) for c in self.containers]
+        request.addfinalizer(self.gateway.shutdown)
+
+    def put(self, index, content):
+        """``content`` stored on replica ``index``; the reference is the one
+        the gateway advertises for that copy."""
+        manifest = self.containers[index].blobs.put_bytes(content)
+        return {
+            "$blob": manifest.digest,
+            "$file": f"{self.gateway.base_uri}/blobs/r{index}.{manifest.digest}",
+            "size": manifest.size,
+        }
+
+    def submit(self, refs, headers=None):
+        body = refs if isinstance(refs, bytes) else json.dumps({"refs": refs}).encode()
+        return self.registry.request(
+            "POST", self.gateway.service_uri("sink"), headers=headers or {}, body=body
+        )
+
+    def finish(self, response):
+        """Let the job run; its terminal document, fetched through the gateway."""
+        assert response.status == 201, response.body
+        self.release.set()
+        uri = response.json_body["uri"]
+        return wait_for_state(lambda: self.registry.request("GET", uri).json_body)
+
+    def manifest_fetches(self):
+        bases = tuple(c.local_base for c in self.containers)
+        return [r for r in self.transport.requests if r.endswith("/manifest") and r[4:].startswith(bases)]
+
+
+@pytest.fixture()
+def blob_cell(request):
+    return BlobCell(request)
+
+
+def test_blob_job_runs_where_the_bytes_are(blob_cell):
+    cell, gateway = blob_cell, blob_cell.gateway
+    content = b"data home " * 30_000
+    # the real thing: uploaded through the gateway, which places it on r0
+    gateway.policy.id = "r0"
+    uploaded = cell.registry.request("POST", gateway.base_uri + "/blobs", body=content)
+    reference = uploaded.json_body
+    assert reference["$file"].startswith(f"{gateway.base_uri}/blobs/r0.")
+    gateway.policy.id = "r2"
+
+    job = cell.finish(cell.submit([reference]))
+
+    assert job["id"].startswith("r0."), "the job went to the policy's pick, away from its blob"
+    assert job["state"] == "DONE" and job["results"] == {"digests": [reference["$blob"]]}
+    assert cell.manifest_fetches() == [], "a job on the holder staged its own blob"
+    assert gateway.data_home_stats == {"home": 1, "fallback": 0}
+    # a submit without blobs has no home: the policy places it, nothing is counted
+    assert cell.finish(cell.submit([]))["id"].startswith("r2.")
+    assert gateway.data_home_stats == {"home": 1, "fallback": 0}
+    scraped = cell.registry.request("GET", gateway.base_uri + "/metrics").text_body
+    assert 'mc_gateway_data_home_total{outcome="home"} 1' in scraped
+    assert 'mc_gateway_data_home_total{outcome="fallback"} 0' in scraped
+    assert cell.registry.request("GET", gateway.base_uri + "/status").json_body["data_home"] == {
+        "home": 1, "fallback": 0,
+    }
+
+
+@pytest.mark.parametrize("obstacle", ["saturated", "breaker-open", "down", "draining"])
+def test_home_that_cannot_take_the_job_falls_through_to_the_policy(blob_cell, obstacle):
+    cell, gateway, holder = blob_cell, blob_cell.gateway, blob_cell.replicas[0]
+    reference = cell.put(0, b"stage me " * 30_000)
+    clock = [0.0]
+    if obstacle == "saturated":
+        assert holder.acquire_slot()
+    elif obstacle == "breaker-open":
+        holder.breaker = CircuitBreaker(failure_threshold=1, reset_timeout=10.0, clock=lambda: clock[0])
+        holder.breaker.record_failure()
+    elif obstacle == "down":
+        while holder.state.value != "DOWN":
+            holder.record_probe(False)
+    else:
+        gateway.drain("r0")
+
+    response = cell.submit([reference])
+
+    assert response.status == 201
+    assert response.json_body["id"].startswith("r2."), "a preference must not pin"
+    # the holder comes back (a draining one never stopped serving its blobs)
+    # and the job, parked so far, stages from it through the gateway
+    if obstacle == "saturated":
+        holder.release_slot()
+    elif obstacle == "breaker-open":
+        clock[0] += 11.0
+    elif obstacle == "down":
+        holder.record_probe(True)
+    job = cell.finish(response)
+    assert job["state"] == "DONE" and job["results"] == {"digests": [reference["$blob"]]}
+    assert any(cell.containers[0].local_base in fetch for fetch in cell.manifest_fetches())
+    assert cell.containers[2].blobs.exists(reference["$blob"])
+    assert gateway.data_home_stats == {"home": 0, "fallback": 1}
+    assert all(replica.in_flight == 0 for replica in cell.replicas)
+
+
+@pytest.mark.parametrize("larger_first", [True, False])
+def test_home_is_the_replica_holding_the_most_referenced_bytes(blob_cell, larger_first):
+    cell = blob_cell
+    small = cell.put(0, b"s" * 70_000)
+    large = cell.put(1, b"L" * 200_000)
+    refs = [large, small] if larger_first else [small, large]
+
+    job = cell.finish(cell.submit(refs))
+
+    assert job["id"].startswith("r1.")
+    assert job["state"] == "DONE" and job["results"] == {"digests": [ref["$blob"] for ref in refs]}
+    # only the smaller blob moved
+    assert cell.containers[1].blobs.exists(small["$blob"])
+    assert not cell.containers[0].blobs.exists(large["$blob"])
+
+
+@pytest.mark.parametrize("kind", ["bare-digest", "foreign-uri", "malformed-json"])
+def test_only_references_the_gateway_advertised_name_a_home(blob_cell, kind):
+    cell, gateway = blob_cell, blob_cell.gateway
+    reference = cell.put(0, b"not advertised " * 10_000)
+    digest = reference["$blob"]
+    if kind == "bare-digest":
+        reference["$file"] = f"{gateway.base_uri}/blobs/{digest}"
+    elif kind == "foreign-uri":
+        reference["$file"] = f"{cell.containers[0].local_base}/blobs/{digest}"
+    body = json.dumps({"refs": [reference]}).encode()
+
+    response = cell.submit(body[:-2] if kind == "malformed-json" else body)
+
+    submits = [r for r in cell.transport.requests if r.startswith("POST ") and "/services/sink" in r]
+    assert submits[-1] == f"POST {cell.containers[2].local_base}/services/sink"
+    assert gateway.data_home_stats == {"home": 0, "fallback": 0}
+    if kind == "malformed-json":
+        assert response.status == 400
+    else:
+        assert cell.finish(response)["results"] == {"digests": [digest]}
+
+
+def test_idempotency_key_binding_beats_the_data_home(blob_cell):
+    cell, gateway = blob_cell, blob_cell.gateway
+    reference = cell.put(0, b"bound elsewhere " * 10_000)
+    # an earlier, ambiguous attempt may have created this key's job on r1
+    gateway.idempotency.bind("dh-key", "r1")
+
+    job = cell.finish(cell.submit([reference], headers={IDEMPOTENCY_KEY_HEADER: "dh-key"}))
+
+    assert job["id"].startswith("r1.")
+    assert job["state"] == "DONE"
+    assert gateway.data_home_stats == {"home": 0, "fallback": 1}
+    jobs = [job for c in cell.containers for job in c.service("sink").jobs.list()]
+    assert len(jobs) == 1
+
+
+def test_retired_holder_resolves_to_its_handoff_successor(blob_cell):
+    cell, gateway = blob_cell, blob_cell.gateway
+    content = b"moved with its replica " * 10_000
+    reference = cell.put(0, content)
+    cell.containers[1].blobs.put_bytes(content)  # the successor's copy
+    gateway.retire("r0", successor_id="r1")
+    assert gateway.replicas.get("r0") is None
+
+    job = cell.finish(cell.submit([reference]))
+
+    assert job["id"].startswith("r1.")
+    assert job["state"] == "DONE" and job["results"] == {"digests": [reference["$blob"]]}
+    assert cell.manifest_fetches() == []
+    assert gateway.data_home_stats == {"home": 1, "fallback": 0}
