@@ -34,9 +34,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from benchmarks.conftest import full_scale, record_experiment
+from repro.http import RestServer
 from repro.http.app import RestApp
 from repro.http.messages import Response
-from repro.http.server import RestServer
 
 BENCH_PATH = Path(__file__).parent / "BENCH_http.json"
 

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.batch.job import BatchJob, BatchJobState, JobResources
-from repro.durability.journal import Journal
+from repro.durability import StateSpine
 from repro.runtime.pool import ExecutorPool
 
 logger = logging.getLogger(__name__)
@@ -117,6 +117,33 @@ def _unrecoverable_function(job: BatchJob) -> None:  # pragma: no cover
     raise RuntimeError("in-process callables do not survive a cluster restart")
 
 
+def _outcome_fields(job: BatchJob) -> dict[str, Any]:
+    """What a finished job produced, in journal form — shared by its
+    ``finished`` record and its snapshot document."""
+    fields: dict[str, Any] = {}
+    if job.failure_reason:
+        fields["reason"] = job.failure_reason
+    if job.exit_status is not None:
+        fields["exit_status"] = job.exit_status
+    if job.stdout:
+        fields["stdout"] = job.stdout
+    if job.stderr:
+        fields["stderr"] = job.stderr
+    if job.output_files:
+        fields["output_files"] = {
+            name: base64.b64encode(content).decode("ascii")
+            for name, content in job.output_files.items()
+        }
+    if job.result is not None:
+        try:
+            json.dumps(job.result)
+        except (TypeError, ValueError):
+            pass  # unserializable results are not recoverable
+        else:
+            fields["result"] = job.result
+    return fields
+
+
 def _numeric_id(job_id: str) -> int:
     """The leading number of a ``<n>.<cluster>`` id (0 when malformed)."""
     head = job_id.split(".", 1)[0]
@@ -124,9 +151,7 @@ def _numeric_id(job_id: str) -> int:
 
 
 def apply_batch_event(table: dict[str, dict[str, Any]], record: dict[str, Any]) -> None:
-    """Fold one journal record into the recovery table (id → document)."""
-    if record.get("type") != "batch":
-        return
+    """Fold one ``batch`` record into the recovery table (id → document)."""
     job_id, event = record.get("id"), record.get("event")
     if not job_id or not event:
         return
@@ -206,12 +231,13 @@ class Cluster:
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._shutdown = False
-        self.journal: Journal | None = None
+        self.state = StateSpine(journal_dir, journal_fsync)
+        #: The cluster's write-ahead journal (``None`` when volatile).
+        self.journal = self.state.journal
+        self._append = self.state.register(("batch",), ("jobs",), self._restore, self._export)
+        self._readmit_recovered()
         #: Corruption tolerated while replaying the journal, if any.
-        self.recovery_warnings: list[str] = []
-        if journal_dir is not None:
-            self.journal = Journal(Path(journal_dir), fsync=journal_fsync)
-            self._replay()
+        self.recovery_warnings: list[str] = self.state.recovery_warnings
         self._scheduler = threading.Thread(
             target=self._schedule_loop, name=f"{name}-sched", daemon=True
         )
@@ -240,14 +266,15 @@ class Cluster:
             self._queue.append(job)
             # journaled before the scheduler can see the job, so a crash
             # after qsub returned can never lose an acknowledged submission
-            self._append(
-                {
-                    "type": "batch",
-                    "event": "submitted",
-                    "id": job.id,
-                    "job": batch_job_document(job),
-                }
-            )
+            if self._append is not None:
+                self._append(
+                    {
+                        "type": "batch",
+                        "event": "submitted",
+                        "id": job.id,
+                        "job": batch_job_document(job),
+                    }
+                )
             self._wake.notify_all()
         return job.id
 
@@ -360,9 +387,7 @@ class Cluster:
             if job.state is BatchJobState.RUNNING:
                 job._cancel.set()
         self._fn_pool.shutdown(wait=False)
-        if self.journal is not None:
-            self.journal.sync()
-            self.journal.close()
+        self.state.close()
 
     # ----------------------------------------------------------- durability
 
@@ -372,8 +397,7 @@ class Cluster:
         cancelled — their submitted records stand, and the next incarnation
         over the same ``journal_dir`` requeues them.
         """
-        if self.journal is not None:
-            self.journal.close()
+        self.state.crash()
         with self._lock:
             self._shutdown = True
             self._queue.clear()
@@ -386,13 +410,10 @@ class Cluster:
     def compact(self) -> None:
         """Snapshot every known job into the journal and drop the segments
         the snapshot covers."""
-        if self.journal is None:
-            return
-        with self._lock:
-            jobs = list(self._jobs.values())
-        self.journal.snapshot(
-            {"jobs": {job.id: self._snapshot_document(job) for job in jobs}}
-        )
+        self.state.compact()
+
+    def _export(self) -> dict[str, Any]:
+        return {"jobs": {job.id: self._snapshot_document(job) for job in self.jobs()}}
 
     def _snapshot_document(self, job: BatchJob) -> dict[str, Any]:
         document = batch_job_document(job)
@@ -401,37 +422,20 @@ class Cluster:
             document["started"] = job.started
         if job.state.terminal:
             document["finished"] = job.finished
-            if job.failure_reason:
-                document["reason"] = job.failure_reason
-            if job.exit_status is not None:
-                document["exit_status"] = job.exit_status
-            if job.stdout:
-                document["stdout"] = job.stdout
-            if job.stderr:
-                document["stderr"] = job.stderr
-            if job.output_files:
-                document["output_files"] = {
-                    name: base64.b64encode(content).decode("ascii")
-                    for name, content in job.output_files.items()
-                }
-            if job.result is not None:
-                try:
-                    json.dumps(job.result)
-                except (TypeError, ValueError):
-                    pass  # unserializable results are not recoverable
-                else:
-                    document["result"] = job.result
+            document.update(_outcome_fields(job))
         return document
 
-    def _replay(self) -> None:
-        recovery = self.journal.recover()
-        self.recovery_warnings = list(recovery.warnings)
-        table: dict[str, dict[str, Any]] = {}
-        snapshot = recovery.snapshot or {}
-        for job_id, document in (snapshot.get("jobs") or {}).items():
-            table[job_id] = dict(document)
-        for record in recovery.records:
+    def _restore(self, sections: dict[str, Any], records: list[dict[str, Any]]) -> None:
+        table = sections.get("jobs") or {}
+        for record in records:
             apply_batch_event(table, record)
+        self._recovered = table
+
+    def _readmit_recovered(self) -> None:
+        """Rebuild the job table from what :meth:`_restore` folded: finished
+        jobs as they were, command jobs back on the queue, callables failed
+        (journaled, so it runs once the journal sink exists)."""
+        table, self._recovered = self._recovered, {}
         highest = 0
         requeued = 0
         for job_id in sorted(table, key=_numeric_id):  # original submission order
@@ -473,15 +477,6 @@ class Cluster:
                 "replayed cluster journal: %d jobs, %d requeued", len(table), requeued
             )
 
-    def _append(self, record: dict[str, Any]) -> None:
-        """Journal one record; persistence failures never break scheduling."""
-        if self.journal is None:
-            return
-        try:
-            self.journal.append(record)
-        except Exception as error:  # noqa: BLE001 - journaling is best-effort
-            logger.error("cluster journal append failed for %s: %s", record.get("id"), error)
-
     # ----------------------------------------------------------- internals
 
     def _get(self, job_id: str) -> BatchJob:
@@ -498,7 +493,7 @@ class Cluster:
         if exit_status is not None:
             job.exit_status = exit_status
         job.finished = time.time()
-        if self.journal is not None:
+        if self._append is not None:
             record: dict[str, Any] = {
                 "type": "batch",
                 "event": "finished",
@@ -508,26 +503,7 @@ class Cluster:
             }
             if job.started is not None:
                 record["started"] = job.started
-            if reason:
-                record["reason"] = reason
-            if job.exit_status is not None:
-                record["exit_status"] = job.exit_status
-            if job.stdout:
-                record["stdout"] = job.stdout
-            if job.stderr:
-                record["stderr"] = job.stderr
-            if job.output_files:
-                record["output_files"] = {
-                    name: base64.b64encode(content).decode("ascii")
-                    for name, content in job.output_files.items()
-                }
-            if job.result is not None:
-                try:
-                    json.dumps(job.result)
-                except (TypeError, ValueError):
-                    pass  # unserializable results are not recoverable
-                else:
-                    record["result"] = job.result
+            record.update(_outcome_fields(job))
             self._append(record)
         if (self.accounting is not None and job.tenant and job.started
                 and job.finished):

@@ -19,11 +19,12 @@ worst — never a committed partial blob — and orphans are swept by GC.
 
 Garbage collection is refcounted through *pins*: a pin is a
 ``(digest, owner)`` pair (owners are strings like ``job:<id>``) recorded
-in the container's write-ahead journal as ``{"type": "blob"}`` records,
-so the pin set survives a cold restart. :meth:`BlobStore.gc` collects
-committed blobs with no pins (after a grace period, so a blob uploaded
-just before its job submission cannot be swept in between) and then
-drops chunk files no surviving manifest references.
+in the container's write-ahead journal as ``{"type": "blob"}`` records
+(:meth:`BlobStore.join` registers the vocabulary with the container's
+state spine), so the pin set survives a cold restart.
+:meth:`BlobStore.gc` collects committed blobs with no pins (after a grace
+period, so a blob uploaded just before its job submission cannot be swept
+in between) and then drops chunk files no surviving manifest references.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "BlobManifest",
     "BlobStore",
     "BlobUpload",
+    "apply_blob_event",
 ]
 
 logger = logging.getLogger(__name__)
@@ -59,6 +61,33 @@ logger = logging.getLogger(__name__)
 DEFAULT_GC_GRACE = 60.0
 
 _READ_SIZE = 256 * 1024
+
+
+def apply_blob_event(table: dict[str, dict[str, Any]], record: dict[str, Any]) -> None:
+    """Fold one blob record into the recovery table (digest → entry).
+
+    Events mirror the blob store's lifecycle: ``commit`` makes a digest
+    known, ``pin``/``unpin`` maintain its owner list, ``collect`` removes
+    it. Replaying the whole journal therefore reproduces the exact pin
+    state at crash time, which is what keeps GC safe across restarts.
+    """
+    digest, event = record.get("digest"), record.get("event")
+    if not digest or not event:
+        return
+    if event == "collect":
+        table.pop(digest, None)
+        return
+    entry = table.setdefault(digest, {"committed": False, "pins": []})
+    if event == "commit":
+        entry["committed"] = True
+    elif event == "pin":
+        owner = record.get("owner")
+        if owner and owner not in entry["pins"]:
+            entry["pins"].append(owner)
+    elif event == "unpin":
+        owner = record.get("owner")
+        if owner in entry["pins"]:
+            entry["pins"].remove(owner)
 
 
 class BlobError(Exception):
@@ -207,14 +236,13 @@ class BlobStore:
         self,
         directory: "str | Path",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        journal_fn: "Callable[[dict[str, Any]], None] | None" = None,
         gc_grace: float = DEFAULT_GC_GRACE,
     ):
         self.directory = Path(directory)
         self.chunk_size = chunk_size
-        #: Called with each ``{"type": "blob"}`` record (commit/pin/unpin/
-        #: collect); the container wires this to its write-ahead journal.
-        self.journal_fn = journal_fn
+        #: Journal sink for ``{"type": "blob"}`` records (commit/pin/unpin/
+        #: collect); set by :meth:`join` (``None`` while volatile).
+        self.journal_fn: "Callable[[dict[str, Any]], None] | None" = None
         self.gc_grace = gc_grace
         self._chunk_dir = self.directory / "chunks"
         self._manifest_dir = self.directory / "manifests"
@@ -384,6 +412,20 @@ class BlobStore:
 
     # ------------------------------------------------------------ lifecycle
 
+    def join(self, spine: Any, release: "Callable[[], None] | None" = None) -> None:
+        """Register the blob vocabulary (records ``blob``, snapshot section
+        ``blobs``) and the store's collectors with the container's state
+        spine; ``release`` runs at shutdown (the owner's directory cleanup)."""
+        self.journal_fn = spine.register(
+            ("blob",), ("blobs",), self._restore, lambda: {"blobs": self.export()},
+            collectors=self.instrument, close=release)
+
+    def _restore(self, sections: dict[str, Any], records: list[dict[str, Any]]) -> None:
+        table: dict[str, dict[str, Any]] = {}
+        for record in [*(sections.get("blobs") or []), *records]:
+            apply_blob_event(table, record)
+        self.recover(table)
+
     def recover(self, table: dict[str, dict[str, Any]]) -> None:
         """Adopt the journal replay's blob table after a cold restart.
 
@@ -471,10 +513,24 @@ class BlobStore:
                 "chunk_size": self.chunk_size,
             }
 
+    def instrument(self, metrics: Any) -> None:
+        """Register the store's scrape-time collectors on ``metrics``."""
+
+        def stat(key):
+            return lambda: self.stats()[key]
+
+        metrics.collector("mc_blobs", "Blobs committed in the store.",
+                          "gauge", stat("blobs"))
+        metrics.collector("mc_blob_bytes", "Total bytes across committed blobs.",
+                          "gauge", stat("bytes"))
+        metrics.collector("mc_blob_pinned", "Blobs currently pinned against GC.",
+                          "gauge", stat("pinned"))
+        metrics.collector("mc_blob_chunks_deduped_total",
+                          "Chunk writes skipped because the chunk already existed.",
+                          "counter", stat("chunks_deduped"))
+        metrics.collector("mc_blobs_collected_total", "Blobs removed by the GC.",
+                          "counter", stat("blobs_collected"))
+
     def _journal(self, record: dict[str, Any]) -> None:
-        if self.journal_fn is None:
-            return
-        try:
+        if self.journal_fn is not None:
             self.journal_fn(record)
-        except Exception as error:  # noqa: BLE001 - journaling is best-effort
-            logger.error("blob journal append failed for %s: %s", record.get("digest"), error)

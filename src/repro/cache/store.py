@@ -18,11 +18,13 @@ that. Failures and cancellations are never cached: a terminal
 the next identical submit recomputes. Deleting a job invalidates its
 fingerprint, so a hit can never resurrect deleted results.
 
-Durability: each promotion to the done tier is reported through
-``journal_fn`` as a lightweight ``(service, fingerprint, job_id, stored)``
-record; after a cold restart the container re-seeds the hot set from
-those records, keeping only entries whose job was itself recovered
-``DONE`` and whose TTL has not lapsed.
+Durability: :meth:`ResultCache.join` registers the ``"type": "cache"``
+vocabulary with the container's state spine. Each promotion to the done
+tier is journaled as a lightweight ``{service, fp, id, stored}`` record;
+after a cold restart the records wait in a per-service table until the
+service deploys, and :meth:`ResultCache.rehydrate` re-seeds the hot set
+from them, keeping only entries whose job was itself recovered ``DONE``
+and whose TTL has not lapsed.
 """
 
 from __future__ import annotations
@@ -36,9 +38,17 @@ from typing import Any, Callable
 
 from repro.core.jobs import Job, JobState
 
-__all__ = ["CacheClosedError", "CacheStats", "ResultCache"]
+__all__ = ["CacheClosedError", "CacheStats", "ResultCache", "apply_cache_event"]
 
 logger = logging.getLogger(__name__)
+
+
+def apply_cache_event(table: dict[str, dict[str, dict]], record: dict[str, Any]) -> None:
+    """Fold one cache record (snapshot- or journal-shaped) into the
+    per-service rehydration table (service → fingerprint → record)."""
+    service, fingerprint, job_id = record.get("service"), record.get("fp"), record.get("id")
+    if service and fingerprint and job_id:
+        table.setdefault(service, {})[fingerprint] = record
 
 
 class CacheClosedError(Exception):
@@ -94,7 +104,6 @@ class ResultCache:
         ttl: "float | None" = 600.0,
         pending_timeout: float = 30.0,
         clock: Callable[[], float] = time.time,
-        journal_fn: "Callable[[str, str, str, float], None] | None" = None,
     ):
         if capacity < 1:
             raise ValueError("cache capacity must be at least 1")
@@ -104,9 +113,12 @@ class ResultCache:
         self.ttl = ttl
         self.pending_timeout = pending_timeout
         self.clock = clock
-        #: Called with ``(service, fingerprint, job_id, stored)`` on each
-        #: promotion to the done tier; the container wires the journal here.
-        self.journal_fn = journal_fn
+        #: Journal sink for ``{"type": "cache"}`` records, one per promotion
+        #: to the done tier; set by :meth:`join` (``None`` while volatile).
+        self.journal_fn: "Callable[[dict[str, Any]], None] | None" = None
+        #: Journaled entries awaiting their service's deploy (service →
+        #: fingerprint → record), consumed by :meth:`rehydrate`.
+        self._recovered: dict[str, dict[str, dict]] = {}
         self._cond = threading.Condition(threading.Lock())
         self._done: "OrderedDict[str, _DoneEntry]" = OrderedDict()
         self._inflight: dict[str, tuple[str, str]] = {}  # fp -> (service, job id)
@@ -222,6 +234,34 @@ class ResultCache:
             self._trim()
             return True
 
+    # ----------------------------------------------------------- durability
+
+    def join(self, spine: Any) -> None:
+        """Register the cache vocabulary (records and snapshot section
+        ``cache``), the cache's collectors and its shutdown action with
+        the container's state spine."""
+        self.journal_fn = spine.register(
+            ("cache",), ("cache",), self._restore, lambda: {"cache": self.export()},
+            collectors=self.instrument, close=self.close)
+
+    def _restore(self, sections: dict[str, Any], records: list[dict[str, Any]]) -> None:
+        for record in [*(sections.get("cache") or []), *records]:
+            apply_cache_event(self._recovered, record)
+
+    def rehydrate(self, service: str, recovered_done: Callable[[str], bool]) -> int:
+        """Re-seed ``service``'s journaled entries (once, at its deploy);
+        returns how many. Only records whose job ``recovered_done`` are
+        admitted: deleted jobs dropped out of recovery via their ``deleted``
+        event, and failed/interrupted jobs must never be served from cache."""
+        seeded = sum(
+            1 for record in self._recovered.pop(service, {}).values()
+            if recovered_done(record["id"])
+            and self.seed(record["fp"], service, record["id"], record.get("stored", 0.0))
+        )
+        if seeded:
+            logger.info("rehydrated %d cache entries for %s", seeded, service)
+        return seeded
+
     def export(self) -> list[dict[str, Any]]:
         """The done tier as journal-shaped records (compaction snapshots)."""
         with self._cond:
@@ -241,6 +281,27 @@ class ResultCache:
 
     # ------------------------------------------------------------- metrics
 
+    def instrument(self, metrics: Any) -> None:
+        """Register the cache's scrape-time collectors on ``metrics``."""
+
+        def rows(**fields: str):
+            def read():
+                stats = self.stats
+                return [((label,), getattr(stats, field)) for label, field in fields.items()]
+
+            return read
+
+        metrics.collector(
+            "mc_cache_lookups_total", "Result-cache claims, by outcome.", "counter",
+            rows(hit="hits", coalesced="coalesced", miss="misses"), labels=("outcome",))
+        metrics.collector(
+            "mc_cache_removals_total", "Result-cache entries removed, by reason.", "counter",
+            rows(evicted="evictions", expired="expirations", invalidated="invalidations"),
+            labels=("reason",))
+        metrics.collector(
+            "mc_cache_entries", "Result-cache done-tier entries held.",
+            "gauge", lambda: len(self))
+
     @property
     def stats(self) -> CacheStats:
         with self._cond:
@@ -257,11 +318,6 @@ class ResultCache:
     def pending_count(self) -> int:
         with self._cond:
             return len(self._pending)
-
-    @property
-    def inflight_count(self) -> int:
-        with self._cond:
-            return len(self._inflight)
 
     def __len__(self) -> int:
         with self._cond:
@@ -294,7 +350,7 @@ class ResultCache:
     def _on_transition(self, job: Job, state: JobState) -> None:
         if not state.terminal:
             return
-        journal = None
+        promoted = None
         with self._cond:
             fingerprint = self._by_job.get(job.id)
             if fingerprint is None or self._inflight.get(fingerprint, (None, None))[1] != job.id:
@@ -305,14 +361,12 @@ class ResultCache:
                 self._done[fingerprint] = _DoneEntry(service, job.id, stored)
                 self._trim()
                 if self._by_job.get(job.id) == fingerprint:
-                    journal = (service, fingerprint, job.id, stored)
+                    promoted = {"type": "cache", "service": service, "fp": fingerprint,
+                                "id": job.id, "stored": stored}
             else:
                 # FAILED / CANCELLED: never cached; the next identical
                 # submit recomputes from scratch
                 self._by_job.pop(job.id, None)
             self._cond.notify_all()
-        if journal is not None and self.journal_fn is not None:
-            try:
-                self.journal_fn(*journal)
-            except Exception as error:  # noqa: BLE001 - journaling is best-effort
-                logger.error("cache journal record failed for %s: %s", job.id, error)
+        if promoted is not None and self.journal_fn is not None:
+            self.journal_fn(promoted)

@@ -14,10 +14,10 @@ Path       GET                             POST / DELETE
 from __future__ import annotations
 
 from repro.catalogue.catalogue import Catalogue, CatalogueError
+from repro.http import RestServer
 from repro.http.app import RestApp
 from repro.http.messages import HttpError, Request, Response
 from repro.http.registry import TransportRegistry
-from repro.http.server import RestServer
 
 
 class CatalogueService:

@@ -1,19 +1,25 @@
 """The service container: deployment, publication and serving.
 
-A :class:`ServiceContainer` owns one REST application, one job manager and
-any number of deployed services. It can publish itself two ways at once:
+A :class:`ServiceContainer` owns one REST application, one job manager,
+one durable-state spine and any number of deployed services. It can
+publish itself two ways at once (both inherited from
+:class:`~repro.observability.RestHost`):
 
 - in process — the container binds itself into a
   :class:`~repro.http.registry.TransportRegistry` under
   ``local://<name>`` at construction, so its services are immediately
   reachable by other components sharing the registry;
-- over TCP — :meth:`serve` starts a :class:`~repro.http.server.RestServer`
+- over TCP — :meth:`serve` starts a :class:`~repro.http.RestServer`
   and switches advertised service URIs to the public ``http://`` address.
+
+Everything that journals — the job manager, the blob store, the result
+cache, the tenant registry — registers with the container's
+:class:`~repro.durability.StateSpine` as a participant; compaction,
+``/metrics`` collectors and shutdown iterate that registry.
 """
 
 from __future__ import annotations
 
-import logging
 import tempfile
 import threading
 from pathlib import Path
@@ -23,37 +29,23 @@ from repro.blob import BlobStore, mount_blob_store
 from repro.cache import ResultCache
 from repro.container.adapters import create_adapter
 from repro.container.config import ServiceConfig
-from repro.container.jobmanager import (
-    INTERRUPTED_ERROR,
-    JobManager,
-    job_document,
-    restore_job,
-)
+from repro.container.jobmanager import INTERRUPTED_ERROR, JobManager
 from repro.container.service import DeployedService
 from repro.container.webui import render_index_page, render_service_page
 from repro.core.api import SubmitLedger, mount_service, unmount_service
 from repro.core.errors import ConfigurationError
-from repro.core.jobs import Job, JobState
-from repro.http.app import RestApp
+from repro.core.jobs import Job, JobState, job_document, restore_job
+from repro.durability import StateSpine
 from repro.http.messages import HttpError, Request, Response
 from repro.http.registry import TransportRegistry
-from repro.http.server import RestServer
-from repro.observability import (
-    ObservabilityMiddleware,
-    instrument_container,
-    mount_metrics,
-)
-from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.trace import Tracer
+from repro.observability import RestHost, instrument_container
 from repro.security.authz import AccessPolicy
 from repro.security.identity import IdentityBroker
 from repro.security.middleware import SecurityMiddleware
 from repro.security.pki import CertificateAuthority
 
-logger = logging.getLogger(__name__)
 
-
-class ServiceContainer:
+class ServiceContainer(RestHost):
     """Everest: builds, deploys and publishes computational web services."""
 
     def __init__(
@@ -66,24 +58,8 @@ class ServiceContainer:
         cache: "ResultCache | bool | None" = None,
         observability: bool = True,
     ):
-        self.name = name
-        self.registry = registry or TransportRegistry()
-        self.app = RestApp(name)
-        # observability is on by default (a production container is blind
-        # without it); the kill switch exists for overhead benchmarks and
-        # minimal embeddings
-        self.metrics: "MetricsRegistry | None" = None
-        self.tracer: "Tracer | None" = None
-        if observability:
-            self.metrics = MetricsRegistry(name)
-            self.tracer = Tracer(name)
-            self.app.add_middleware(ObservabilityMiddleware(self.metrics, self.tracer))
-            mount_metrics(self.app, self.metrics)
-        # with a journal directory the manager replays any history it finds
-        # there; deploy() consumes the recovered jobs per service
-        self.job_manager = JobManager(
-            handlers=handlers, name=name, journal_dir=journal_dir, journal_fsync=journal_fsync
-        )
+        super().__init__(name, registry, observability)
+        self.job_manager = JobManager(handlers=handlers, name=name)
         self.job_manager.tracer = self.tracer
         # the result cache is opt-in: POST-creates-a-new-job is the REST
         # contract unless the operator asks for content-addressed reuse.
@@ -94,59 +70,41 @@ class ServiceContainer:
         elif cache is False:
             cache = None
         self.cache: "ResultCache | None" = cache
-        if self.cache is not None:
-            self.job_manager.attach_cache(self.cache)
         self._services: dict[str, DeployedService] = {}
         self._resources: dict[str, Any] = {}
         self._policies: dict[str, AccessPolicy] = {}
         self._lock = threading.Lock()
-        self._server: RestServer | None = None
-        self.local_base = self.registry.bind_local(name, self.app)
         self._security: SecurityMiddleware | None = None
         #: Tenant registry + gate, set by :meth:`enable_tenancy`.
         self.tenancy = None
         self.tenant_gate = None
         # the blob data plane: durable beside the journal when one exists,
         # a temp directory (cleaned up on shutdown) otherwise
+        release = None
         if journal_dir is not None:
             blob_dir = Path(journal_dir) / "blobs"
-            self._blob_tmp = None
         else:
-            self._blob_tmp = tempfile.TemporaryDirectory(prefix=f"{name}-blobs-")
-            blob_dir = Path(self._blob_tmp.name)
-        self.blobs = BlobStore(blob_dir, journal_fn=self.job_manager.record_blob)
-        self.blobs.recover(self.job_manager.take_recovered_blobs())
+            blob_tmp = tempfile.TemporaryDirectory(prefix=f"{name}-blobs-")
+            blob_dir, release = Path(blob_tmp.name), blob_tmp.cleanup
+        self.blobs = BlobStore(blob_dir)
+        # the one place planes are wired: with a journal directory the
+        # spine has already read whatever history is there, and each join
+        # hands its plane its own share (deploy() consumes the recovered
+        # jobs and cache entries per service). Shutdown actions run in
+        # this order, after the job manager has drained
+        self.state = StateSpine(journal_dir, journal_fsync, self.metrics)
+        #: The container's write-ahead journal (``None`` when volatile).
+        self.journal = self.state.journal
+        self.job_manager.join(self.state, self._job_tables)
+        if self.cache is not None:
+            self.cache.join(self.state)
+        self.blobs.join(self.state, release)
         mount_blob_store(self.app, self.blobs, base_uri=lambda: self.base_uri)
         self.app.route("GET", "/", self._index)
         self.app.route("GET", "/services", self._index)
         self.app.route("GET", "/ui", self._index_ui)
         if self.metrics is not None:
-            # collectors read live subsystem state at scrape time; wired
-            # last so every attribute they close over exists
             instrument_container(self)
-
-    # ----------------------------------------------------------- publishing
-
-    @property
-    def base_uri(self) -> str:
-        """The advertised URI prefix (http when served, local otherwise)."""
-        if self._server is not None:
-            return self._server.base_url
-        return self.local_base
-
-    def service_uri(self, name: str) -> str:
-        return f"{self.base_uri}/services/{name}"
-
-    def serve(self, host: str = "127.0.0.1", port: int = 0, **server_options: object) -> RestServer:
-        """Expose the container over TCP; returns the running server.
-
-        Extra keyword arguments (``idle_timeout``, ``max_body_bytes``,
-        ``handler_threads``, …) are forwarded to :class:`RestServer`.
-        """
-        if self._server is not None:
-            raise RuntimeError("container is already serving")
-        self._server = RestServer(self.app, host=host, port=port, **server_options).start()
-        return self._server
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop serving and the handler pool (deployed services stay queryable
@@ -156,21 +114,16 @@ class ServiceContainer:
         queued-but-unstarted jobs are marked interrupted rather than left
         dangling in ``WAITING``.
         """
-        if self._server is not None:
-            self._server.stop()
-            self._server = None
+        self._unpublish()
         self.job_manager.shutdown(wait=wait)
-        self.registry.unbind_local(self.name)
-        if self._blob_tmp is not None:
-            self._blob_tmp.cleanup()
-            self._blob_tmp = None
+        self.state.close()
 
     # ----------------------------------------------------------- durability
 
     @property
-    def journal(self):
-        """The container's write-ahead journal (``None`` when volatile)."""
-        return self.job_manager.journal
+    def recovery_warnings(self) -> list[str]:
+        """Corruption (and unclaimed record types) tolerated at recovery."""
+        return self.state.recovery_warnings
 
     def crash(self) -> None:
         """Simulate a cold stop: nothing after this call is persisted.
@@ -180,29 +133,20 @@ class ServiceContainer:
         then serving stops without draining or marking anything. Rebuild
         by constructing a fresh container over the same ``journal_dir``.
         """
+        self.state.crash()
         self.job_manager.crash()
-        if self._server is not None:
-            self._server.stop()
-            self._server = None
-        self.registry.unbind_local(self.name)
+        self._unpublish()
 
     def compact(self) -> None:
-        """Snapshot every service's current job state into the journal and
+        """Snapshot every participant's current state into the journal and
         drop the segments the snapshot covers."""
-        if self.journal is None:
-            return
-        state = {
-            "services": {
-                service.name: {job.id: job_document(job) for job in service.jobs.list()}
-                for service in self.services
-            }
+        self.state.compact()
+
+    def _job_tables(self) -> dict[str, dict[str, dict]]:
+        return {
+            service.name: {job.id: job_document(job) for job in service.jobs.list()}
+            for service in self.services
         }
-        if self.cache is not None:
-            state["cache"] = self.cache.export()
-        state["blobs"] = self.blobs.export()
-        if self.tenancy is not None:
-            state["usage"] = self.tenancy.export()
-        self.journal.snapshot(state)
 
     # ------------------------------------------------------------- security
 
@@ -246,10 +190,9 @@ class ServiceContainer:
         if self.tenancy is not None:
             raise RuntimeError("tenancy is already enabled")
         registry = registry or TenantRegistry()
-        registry._journal_fn = self.job_manager.record_usage
-        registry.recover(self.job_manager.take_recovered_usage())
+        registry.join(self.state)
         self.tenancy = registry
-        self.job_manager.accounting = registry
+        self.job_manager.transition_observers.append(registry.charge_job)
         self.job_manager.admission = FairShareQueue(
             registry, max_backlog_total=max_backlog_total)
         self.tenant_gate = TenantGate(registry, metrics=self.metrics, enforce=False)
@@ -383,8 +326,11 @@ class ServiceContainer:
         ledger = SubmitLedger()
         recovered = self.job_manager.take_recovered(service.name)
         requeue: list[Job] = []
+        done: set[str] = set()  # recovered DONE: the only jobs a cache entry may point at
         for document in recovered.values():
             job = restore_job(service.name, document)
+            if job.state is JobState.DONE and service.cacheable:
+                done.add(job.id)
             if not job.state.terminal:
                 if getattr(adapter, "idempotent", False):
                     requeue.append(job)
@@ -399,7 +345,8 @@ class ServiceContainer:
         for job in requeue:
             self._register_recovered_inflight(service, job)
             service.requeue(job)
-        self._rehydrate_cache(service)
+        if self.cache is not None:
+            self.cache.rehydrate(service.name, done.__contains__)
         return ledger
 
     def _register_recovered_inflight(self, service: DeployedService, job: Job) -> None:
@@ -415,30 +362,6 @@ class ServiceContainer:
         fingerprint = service._fingerprint(job.inputs)
         if fingerprint is not None:
             self.cache.register(fingerprint, service.name, job)
-
-    def _rehydrate_cache(self, service: DeployedService) -> None:
-        """Re-seed the hot set from journaled cache records (cold restart).
-
-        Only records whose job itself recovered ``DONE`` are admitted:
-        deleted jobs dropped out of the recovery table via their
-        ``deleted`` journal event, and failed/interrupted jobs must never
-        be served from cache.
-        """
-        if self.cache is None or not service.cacheable:
-            self.job_manager.take_recovered_cache(service.name)
-            return
-        seeded = 0
-        for record in self.job_manager.take_recovered_cache(service.name).values():
-            try:
-                job = service.jobs.get(record["id"])
-            except Exception:  # noqa: BLE001 - the job did not survive recovery
-                continue
-            if job.state is not JobState.DONE:
-                continue
-            if self.cache.seed(record["fp"], service.name, record["id"], record["stored"]):
-                seeded += 1
-        if seeded:
-            logger.info("rehydrated %d cache entries for %s", seeded, service.name)
 
     # ------------------------------------------------------------- handlers
 

@@ -11,13 +11,13 @@ it). The queue/worker machinery itself lives in
 :class:`repro.runtime.ExecutorPool`; the manager adds the job semantics —
 state transitions, adapter error conversion, correlation-id logging.
 
-Durability: constructed with a ``journal_dir`` the manager write-ahead
-journals every job lifecycle event (creation with inputs and the creating
-``Idempotency-Key``, then each state transition) and, when the directory
-already holds segments, replays them into a per-service recovery table
-before serving. The container consumes that table at deploy time to
-rebuild each service's job store — completed jobs with their results,
-in-flight jobs re-enqueued or failed-as-interrupted.
+Durability: :meth:`JobManager.join` registers the job vocabulary
+(``"type": "job"`` records, snapshot section ``services``) with the
+container's state spine. From then on every lifecycle event of an adopted
+job — creation with inputs and the creating ``Idempotency-Key``, then each
+state transition — goes to the journal sink the spine handed back, and
+what recovery read is folded into a per-service table the container
+consumes at deploy time to rebuild each service's job store.
 """
 
 from __future__ import annotations
@@ -26,26 +26,15 @@ import logging
 import threading
 import time
 import traceback
-from pathlib import Path
 from typing import Any, Callable
 
 from repro.core.errors import AdapterError, ServiceError
-from repro.core.jobs import Job, JobState, job_document, restore_job
-from repro.durability.journal import Journal
+from repro.core.jobs import Job, JobState
 from repro.runtime.pool import ExecutorPool, PoolStats
 from repro.runtime.trace import SpanContext, activate_span_context, record_span, span
-from repro.tenancy.registry import DEFAULT_TENANT, apply_usage_event
+from repro.tenancy.registry import DEFAULT_TENANT
 
-__all__ = [
-    "INTERRUPTED_ERROR",
-    "JobManager",
-    "apply_blob_event",
-    "apply_cache_event",
-    "apply_job_event",
-    "apply_usage_event",
-    "job_document",
-    "restore_job",
-]
+__all__ = ["INTERRUPTED_ERROR", "JobManager", "apply_job_event"]
 
 logger = logging.getLogger(__name__)
 
@@ -54,9 +43,7 @@ INTERRUPTED_ERROR = "interrupted: the container stopped before the job finished"
 
 
 def apply_job_event(table: dict[str, dict[str, dict]], record: dict[str, Any]) -> None:
-    """Fold one journal record into the per-service recovery table."""
-    if record.get("type") != "job":
-        return
+    """Fold one ``job`` record into the per-service recovery table."""
     service, job_id, event = record.get("service"), record.get("id"), record.get("event")
     if not service or not job_id or not event:
         return
@@ -78,71 +65,16 @@ def apply_job_event(table: dict[str, dict[str, dict]], record: dict[str, Any]) -
         if "started" in record:
             document["started"] = record["started"]
     elif event in ("done", "failed", "cancelled"):
-        document["state"] = {
-            "done": JobState.DONE.value,
-            "failed": JobState.FAILED.value,
-            "cancelled": JobState.CANCELLED.value,
-        }[event]
+        document["state"] = JobState[event.upper()].value
         for field in ("results", "error", "finished", "extra"):
             if field in record:
                 document[field] = record[field]
 
 
-def apply_cache_event(table: dict[str, dict[str, dict]], record: dict[str, Any]) -> None:
-    """Fold one cache record (snapshot- or journal-shaped) into the
-    per-service rehydration table (service → fingerprint → record)."""
-    if "fp" not in record or record.get("type") not in (None, "cache"):
-        return
-    service, fingerprint, job_id = record.get("service"), record["fp"], record.get("id")
-    if not service or not fingerprint or not job_id:
-        return
-    table.setdefault(service, {})[fingerprint] = {
-        "service": service,
-        "fp": fingerprint,
-        "id": job_id,
-        "stored": record.get("stored", 0.0),
-    }
-
-
-def apply_blob_event(table: dict[str, dict[str, Any]], record: dict[str, Any]) -> None:
-    """Fold one blob record into the recovery table (digest → entry).
-
-    Events mirror the blob store's lifecycle: ``commit`` makes a digest
-    known, ``pin``/``unpin`` maintain its owner list, ``collect`` removes
-    it. Replaying the whole journal therefore reproduces the exact pin
-    state at crash time, which is what keeps GC safe across restarts.
-    """
-    if record.get("type") != "blob":
-        return
-    digest, event = record.get("digest"), record.get("event")
-    if not digest or not event:
-        return
-    if event == "collect":
-        table.pop(digest, None)
-        return
-    entry = table.setdefault(digest, {"committed": False, "pins": []})
-    if event == "commit":
-        entry["committed"] = True
-    elif event == "pin":
-        owner = record.get("owner")
-        if owner and owner not in entry["pins"]:
-            entry["pins"].append(owner)
-    elif event == "unpin":
-        owner = record.get("owner")
-        if owner in entry["pins"]:
-            entry["pins"].remove(owner)
-
-
 class JobManager:
     """Runs adapter executions for queued jobs on a fixed thread pool."""
 
-    def __init__(
-        self,
-        handlers: int = 4,
-        name: str = "everest",
-        journal_dir: "str | Path | None" = None,
-        journal_fsync: str = "batch",
-    ):
+    def __init__(self, handlers: int = 4, name: str = "everest"):
         if handlers < 1:
             raise ValueError("the handler pool needs at least one thread")
         self.handlers = handlers
@@ -152,28 +84,27 @@ class JobManager:
         #: Live (non-terminal) jobs this manager has adopted, by id.
         self._tracked: dict[str, Job] = {}
         self._track_lock = threading.Lock()
-        self.journal: Journal | None = None
-        #: Corruption tolerated while replaying the journal, if any.
-        self.recovery_warnings: list[str] = []
+        #: Journal sink for job records, set by :meth:`join` (``None``
+        #: while volatile, so no record is even built).
+        self.journal_fn: "Callable[[dict[str, Any]], None] | None" = None
         self._recovered: dict[str, dict[str, dict]] = {}
-        self._recovered_cache: dict[str, dict[str, dict]] = {}
-        self._recovered_blobs: dict[str, dict[str, Any]] = {}
-        self._recovered_usage: dict[str, dict[str, Any]] = {}
         #: Fair-share admission queue, when tenancy is enabled: jobs park
         #: here and handler threads drain them by scheduler policy.
         self.admission = None
-        #: Tenant registry charged for job wall-time, when tenancy is on.
-        self.accounting = None
-        #: The container's result cache, when one is attached; shutdown
-        #: closes it so pending coalesced claims fail instead of hanging.
-        self.result_cache = None
+        #: Called with ``(job, state)`` after each journaled transition of
+        #: an adopted job, in order (the container subscribes billing here).
+        self.transition_observers: list[Callable[[Job, JobState], None]] = []
         #: The container's span buffer, when observability is on. Spans
         #: for ``queue.wait`` and ``adapter.run`` are recorded against the
         #: trace the creating request carried (``job.trace_id``).
         self.tracer = None
-        if journal_dir is not None:
-            self.journal = Journal(Path(journal_dir), fsync=journal_fsync)
-            self._replay()
+
+    def join(self, spine: Any, tables: Callable[[], dict[str, dict[str, dict]]]) -> None:
+        """Register the job vocabulary with the container's state spine;
+        ``tables`` exports the live job documents (service → id → document)
+        for compaction — the manager itself only tracks non-terminal jobs."""
+        self.journal_fn = spine.register(
+            ("job",), ("services",), self._restore, lambda: {"services": tables()})
 
     def enqueue(self, job: Job, execute: Callable[[], dict[str, Any]]) -> None:
         """Queue one job; ``execute`` is the adapter invocation thunk."""
@@ -207,38 +138,39 @@ class JobManager:
         Idempotent per job id, so a service may adopt before enqueueing
         without double-journaling.
         """
-        with self._track_lock:
-            if job.id in self._tracked:
-                return
-            if not job.state.terminal:
-                self._tracked[job.id] = job
-        if self.journal is not None:
-            self._append(self._creation_record(job))
-        job.subscribe(self._on_transition)
+        if self._track(job):
+            job.subscribe(self._on_transition)
 
     def import_job(self, job: Job) -> None:
         """Adopt a handed-off job from a retiring replica.
 
         Journals the job's creation record and — when the handoff arrived
         already terminal — its terminal record, so the handoff survives a
-        cold restart in the standard journal format. Terminal imports are
-        *not* charged to tenancy accounting: the origin replica already
-        billed the tenant for the work, and handing the finished job over
-        must not bill it twice. Non-terminal imports subscribe the normal
-        transition observer — their (re-)execution here is journaled and
+        cold restart in the standard journal format. Terminal imports never
+        reach the transition observers: the origin replica already billed
+        the tenant for the work, and handing the finished job over must
+        not bill it twice. Non-terminal imports subscribe the normal
+        transition path — their (re-)execution here is journaled and
         billed exactly like locally created work.
         """
-        with self._track_lock:
-            if job.id in self._tracked:
-                return
-            if not job.state.terminal:
-                self._tracked[job.id] = job
-        if self.journal is not None:
-            self._append(self._creation_record(job))
-            if job.state.terminal:
-                self._append(self._transition_record(job, job.state))
+        if not self._track(job):
+            return
         if not job.state.terminal:
             job.subscribe(self._on_transition)
+        elif self.journal_fn is not None:
+            self.journal_fn(self._transition_record(job, job.state))
+
+    def _track(self, job: Job) -> bool:
+        """Start tracking ``job`` and journal its creation; False when it
+        is already tracked (adoption is idempotent per job id)."""
+        with self._track_lock:
+            if job.id in self._tracked:
+                return False
+            if not job.state.terminal:
+                self._tracked[job.id] = job
+        if self.journal_fn is not None:
+            self.journal_fn(self._creation_record(job))
+        return True
 
     def quiesce(self) -> None:
         """Stop *starting* queued work (the drain protocol's first step).
@@ -249,10 +181,6 @@ class JobManager:
         handoff could execute the same job twice.
         """
         self._quiesced = True
-
-    @property
-    def quiesced(self) -> bool:
-        return self._quiesced
 
     def running_count(self) -> int:
         """Jobs currently executing (the drain waits for this to hit 0)."""
@@ -265,81 +193,19 @@ class JobManager:
         resurrect it)."""
         with self._track_lock:
             self._tracked.pop(job.id, None)
-        if self.journal is not None:
-            self._append(
+        if self.journal_fn is not None:
+            self.journal_fn(
                 {"type": "job", "event": "deleted", "service": job.service, "id": job.id}
             )
 
     def take_recovered(self, service: str) -> dict[str, dict]:
-        """Claim the recovered job documents of one service (id → doc).
-
-        Each service's recovery set is handed out once — to the deploy
-        that rebuilds its job store.
-        """
+        """Claim the recovered job documents of one service (id → doc);
+        handed out once, to the deploy that rebuilds its job store."""
         return self._recovered.pop(service, {})
-
-    def take_recovered_cache(self, service: str) -> dict[str, dict]:
-        """Claim the journaled cache records of one service (fp → record).
-
-        The deploy that rebuilds the service seeds its result cache from
-        these — after checking each record's job actually recovered DONE.
-        """
-        return self._recovered_cache.pop(service, {})
-
-    def take_recovered_blobs(self) -> dict[str, dict[str, Any]]:
-        """Claim the replayed blob table (digest → {committed, pins});
-        handed out once, to the container's blob store."""
-        table, self._recovered_blobs = self._recovered_blobs, {}
-        return table
-
-    def record_blob(self, record: dict[str, Any]) -> None:
-        """Journal one blob lifecycle record (commit/pin/unpin/collect)."""
-        if self.journal is not None:
-            self._append(dict(record, type="blob"))
-
-    def record_usage(self, record: dict[str, Any]) -> None:
-        """Journal one tenant usage delta ({tenant, cpu, disk})."""
-        if self.journal is not None:
-            self._append(dict(record, type="usage"))
-
-    def take_recovered_usage(self) -> dict[str, dict[str, Any]]:
-        """Claim the replayed usage table (tenant → {cpu, disk}); handed
-        out once, to the container's tenant registry."""
-        table, self._recovered_usage = self._recovered_usage, {}
-        return table
-
-    def attach_cache(self, cache: Any) -> None:
-        """Adopt the container's result cache: journal its promotions and
-        close it on shutdown so pending claimants are failed, not hung."""
-        self.result_cache = cache
-        if cache is not None:
-            cache.journal_fn = self.record_cache
-
-    def record_cache(self, service: str, fingerprint: str, job_id: str, stored: float) -> None:
-        """Journal one done-tier cache promotion as a lightweight record.
-
-        Rehydration cross-checks the record against the recovered job
-        table, so a record outliving its job (deletion, failure rollback)
-        is inert rather than dangerous.
-        """
-        if self.journal is not None:
-            self._append(
-                {
-                    "type": "cache",
-                    "service": service,
-                    "fp": fingerprint,
-                    "id": job_id,
-                    "stored": stored,
-                }
-            )
 
     def set_task_hook(self, hook: "Callable[[str], None] | None") -> None:
         """Install (or clear) the handler pool's per-task fault hook."""
         self._pool.task_hook = hook
-
-    @property
-    def queued(self) -> int:
-        return self._pool.stats.queued
 
     @property
     def stats(self) -> PoolStats:
@@ -347,10 +213,9 @@ class JobManager:
         return self._pool.stats
 
     def shutdown(self, wait: bool = True) -> None:
+        """Stop accepting work and release the pool (draining it when
+        ``wait``). The journal stays open: its owner closes it afterwards."""
         self._stopped = True
-        if self.result_cache is not None:
-            # fail pending coalesced claimants instead of hanging them
-            self.result_cache.close()
         self._pool.shutdown(wait=wait)
         if not wait:
             # without the drain, queued-but-unstarted jobs would sit in
@@ -359,58 +224,25 @@ class JobManager:
                 pending = list(self._tracked.values())
             for job in pending:
                 job.try_interrupt(INTERRUPTED_ERROR)
-        if self.journal is not None:
-            self.journal.sync()
-            self.journal.close()
 
     def crash(self) -> None:
-        """A cold stop: the journal goes first, so nothing after this
-        call is persisted — then the pool is released without waiting."""
-        if self.journal is not None:
-            self.journal.close()
+        """A cold stop: the pool is released without waiting or marking
+        anything (the owner has already stopped persisting)."""
         self._stopped = True
-        if self.result_cache is not None:
-            self.result_cache.close()
         self._pool.shutdown(wait=False)
 
     # ----------------------------------------------------------- internals
 
-    def _replay(self) -> None:
-        recovery = self.journal.recover()
-        self.recovery_warnings = recovery.warnings
-        table: dict[str, dict[str, dict]] = {}
-        cache_table: dict[str, dict[str, dict]] = {}
-        blob_table: dict[str, dict[str, Any]] = {}
-        snapshot = recovery.snapshot or {}
-        for service, jobs in (snapshot.get("services") or {}).items():
-            table[service] = {job_id: dict(document) for job_id, document in jobs.items()}
-        for record in snapshot.get("cache") or []:
-            apply_cache_event(cache_table, record)
-        for record in snapshot.get("blobs") or []:
-            apply_blob_event(blob_table, record)
-        usage_table: dict[str, dict[str, Any]] = {}
-        for record in snapshot.get("usage") or []:
-            apply_usage_event(usage_table, record)
-        for record in recovery.records:
+    def _restore(self, sections: dict[str, Any], records: list[dict[str, Any]]) -> None:
+        """Fold the snapshot's job tables and the journaled job records
+        into the per-service recovery table."""
+        table = sections.get("services") or {}
+        for record in records:
             apply_job_event(table, record)
-            apply_cache_event(cache_table, record)
-            apply_blob_event(blob_table, record)
-            if record.get("type") == "usage":
-                apply_usage_event(usage_table, record)
         self._recovered = table
-        self._recovered_cache = cache_table
-        self._recovered_blobs = blob_table
-        self._recovered_usage = usage_table
         if table:
             total = sum(len(jobs) for jobs in table.values())
             logger.info("replayed journal: %d jobs across %d services", total, len(table))
-
-    def _append(self, record: dict[str, Any]) -> None:
-        """Journal one record; persistence failures never break processing."""
-        try:
-            self.journal.append(record)
-        except Exception as error:  # noqa: BLE001 - journaling is best-effort
-            logger.error("journal append failed for %s: %s", record.get("id"), error)
 
     def _creation_record(self, job: Job) -> dict[str, Any]:
         record: dict[str, Any] = {
@@ -439,34 +271,25 @@ class JobManager:
         if state is JobState.RUNNING:
             record["started"] = job.started
         elif state is JobState.DONE:
-            record["event"] = "done"
             record["results"] = job.results
             record["finished"] = job.finished
         elif state is JobState.FAILED:
-            record["event"] = "failed"
             record["error"] = job.error
             record["finished"] = job.finished
             if job.extra:
                 record["extra"] = dict(job.extra)
         elif state is JobState.CANCELLED:
-            record["event"] = "cancelled"
             record["finished"] = job.finished
         return record
 
     def _on_transition(self, job: Job, state: JobState) -> None:
-        if self.journal is not None:
-            self._append(self._transition_record(job, state))
+        if self.journal_fn is not None:
+            self.journal_fn(self._transition_record(job, state))
         if state.terminal:
             with self._track_lock:
                 self._tracked.pop(job.id, None)
-            if self.accounting is not None:
-                tenant = job.extra.get("tenant")
-                if tenant and job.started and job.finished:
-                    # wall-time of the adapter run, charged exactly once —
-                    # on the terminal transition (recovery restores
-                    # terminal jobs directly, without re-firing it)
-                    self.accounting.charge(
-                        tenant, cpu=max(0.0, job.finished - job.started))
+        for observer in self.transition_observers:
+            observer(job, state)
 
     def _drain_admission(self) -> None:
         """Pool task: release and process the fair-share queue's pick."""

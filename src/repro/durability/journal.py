@@ -16,9 +16,12 @@ everything up to the last valid record, logs a warning, and never raises.
 Segments rotate at ``segment_max_bytes``. A snapshot written through
 :meth:`Journal.snapshot` makes every older segment (and older snapshot)
 redundant; compaction deletes them, bounding recovery time by snapshot
-age rather than journal lifetime. Snapshot files use the same framing
-(one record) and are written to a temp name then atomically renamed, so
-a crash mid-snapshot leaves the previous snapshot authoritative.
+age rather than journal lifetime. :meth:`Journal.cut` fixes the
+snapshot's index *before* the state is exported, so records appended
+meanwhile land in a segment the snapshot does not cover. Snapshot files
+use the same framing (one record) and are written to a temp name then
+atomically renamed, so a crash mid-snapshot leaves the previous snapshot
+authoritative.
 
 Appends never touch existing segments: a journal opened over a directory
 with history always starts a fresh segment, so a torn tail from the
@@ -256,27 +259,34 @@ class Journal:
 
     # ------------------------------------------------------------- snapshot
 
-    def snapshot(self, state: dict[str, Any]) -> None:
+    def cut(self) -> "int | None":
+        """Seal the open segment and return the index a snapshot of state
+        exported *after* this call must carry (``None`` once closed):
+        every record appended so far sits in a segment below that index,
+        every later append in one at or above it."""
+        with self._lock:
+            if self._closed:
+                return None
+            self._seal()
+            return self._next_index
+
+    def snapshot(self, state: dict[str, Any], index: "int | None" = None) -> None:
         """Write a compaction snapshot and delete the segments it covers.
 
-        The snapshot is numbered with the *next* segment index: replay
-        applies it, then every segment at or above that index. The write
-        is atomic (temp file + rename), and older segments/snapshots are
-        removed only after the rename succeeds.
+        ``index`` is what :meth:`cut` returned before ``state`` was
+        exported; without one the cut happens here, which is only safe
+        when nothing can append between the export and this call. Replay
+        applies the snapshot, then every segment at or above its index.
+        The write is atomic (temp file + rename), and older
+        segments/snapshots are removed only after the rename succeeds.
         """
         data = encode_record(state)
         with self._lock:
             if self._closed:
                 return
-            if self._file is not None:
-                self._file.flush()
-                if self.fsync != "never":
-                    os.fsync(self._file.fileno())
-                self._file.close()
-                self._file = None
-                self._file_bytes = 0
-                self._unsynced = 0
-            index = self._next_index
+            if index is None:
+                self._seal()
+                index = self._next_index
             final = self.directory / f"snapshot-{index:08d}.waj"
             temp = self.directory / f"snapshot-{index:08d}.waj.tmp"
             with open(temp, "wb") as stream:
@@ -284,12 +294,10 @@ class Journal:
                 stream.flush()
                 os.fsync(stream.fileno())
             os.replace(temp, final)
-            for path, file_index in self._matching(_SEGMENT_RE):
-                if file_index < index:
-                    path.unlink(missing_ok=True)
-            for path, file_index in self._matching(_SNAPSHOT_RE):
-                if file_index < index:
-                    path.unlink(missing_ok=True)
+            for pattern in (_SEGMENT_RE, _SNAPSHOT_RE):
+                for path, file_index in self._matching(pattern):
+                    if file_index < index:
+                        path.unlink(missing_ok=True)
 
     # ------------------------------------------------------------- recovery
 
@@ -329,12 +337,8 @@ class Journal:
     # ------------------------------------------------------------ internals
 
     def _scan_next_index(self) -> int:
-        highest = 0
-        for _, index in self._matching(_SEGMENT_RE):
-            highest = max(highest, index)
-        for _, index in self._matching(_SNAPSHOT_RE):
-            highest = max(highest, index)
-        return highest + 1
+        found = self._matching(_SEGMENT_RE) + self._matching(_SNAPSHOT_RE)
+        return max((index for _, index in found), default=0) + 1
 
     def _matching(self, pattern: "re.Pattern[str]") -> list[tuple[Path, int]]:
         found = []
@@ -344,18 +348,23 @@ class Journal:
                 found.append((path, int(match.group(1))))
         return found
 
-    def _rotate(self) -> None:
-        """Open the next segment (under the journal lock)."""
+    def _seal(self) -> None:
+        """Flush, sync and close the open segment (under the journal lock)."""
         if self._file is not None:
             self._file.flush()
             if self.fsync != "never":
                 os.fsync(self._file.fileno())
             self._file.close()
+            self._file = None
+        self._file_bytes = 0
+        self._unsynced = 0
+
+    def _rotate(self) -> None:
+        """Open the next segment (under the journal lock)."""
+        self._seal()
         path = self.directory / f"segment-{self._next_index:08d}.waj"
         self._next_index += 1
         self._file = open(path, "ab")
-        self._file_bytes = 0
-        self._unsynced = 0
         self.segments_created += 1
 
     @staticmethod

@@ -1,11 +1,13 @@
 """The `Recoverable` protocol: what a journal-backed component promises.
 
-Three components implement it — the container's
-:class:`~repro.container.jobmanager.JobManager`, the
+Three hosts implement it — the
+:class:`~repro.container.container.ServiceContainer`, the
 :class:`~repro.workflow.wms.WorkflowManagementService` and the batch
-:class:`~repro.batch.cluster.Cluster`. Each owns a record vocabulary and
-the replay logic for it; this protocol pins down the shared lifecycle so
-chaos controllers and operators can treat them uniformly:
+:class:`~repro.batch.cluster.Cluster` — each by delegating to the
+:class:`~repro.durability.spine.StateSpine` it owns; the record
+vocabularies and their replay belong to the planes registered with that
+spine. This protocol pins down the shared lifecycle so chaos controllers
+and operators can treat the hosts uniformly:
 
 - construction with a ``journal_dir`` that has history *is* recovery —
   the component rebuilds its externally promised state before serving;

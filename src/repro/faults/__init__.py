@@ -11,7 +11,7 @@ The plan is threaded through the platform's existing seams:
   connect-refused, mid-request drops, partial writes and response delays;
 - :class:`WorkerStallHook` plugs into :class:`repro.runtime.ExecutorPool`
   (``task_hook``) to stall handler threads;
-- :class:`ServerDropHook` plugs into :class:`repro.http.server.RestServer`
+- :class:`ServerDropHook` plugs into :class:`repro.http.RestServer`
   (``fault_hook``) to sever connections before the response goes out, or
   mid-write after a partial response (``server-drop-mid-write``);
 - :class:`CrashController` crashes and restarts gateway replicas, and

@@ -4,7 +4,7 @@
 :class:`~repro.runtime.pool.ExecutorPool`'s ``task_hook``: each task
 about to run may be stalled by a seeded delay, simulating a handler
 thread wedged on slow I/O. :class:`ServerDropHook` is passed to
-:class:`~repro.http.server.RestServer` as ``fault_hook``: a request may
+:class:`~repro.http.RestServer` as ``fault_hook``: a request may
 have its connection severed before any response bytes go out, which is
 what a crashing server looks like to a keep-alive client.
 """

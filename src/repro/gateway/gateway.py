@@ -42,20 +42,12 @@ from repro.gateway.routing import (
     rewrite_tree,
     rewrite_uri,
 )
-from repro.http.app import RestApp
 from repro.http.client import IDEMPOTENCY_KEY_HEADER, X_CACHE_HEADER, parse_retry_after
 from repro.http.messages import BodySpool, Headers, HttpError, Request, Response
 from repro.http.registry import TransportRegistry
-from repro.http.server import RestServer
 from repro.http.transport import ConnectError, TransportError
-from repro.observability import (
-    ObservabilityMiddleware,
-    gateway_status,
-    instrument_gateway,
-    mount_metrics,
-)
-from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.trace import Tracer, build_trace_tree, merge_spans, span, trace_headers
+from repro.observability import RestHost, gateway_status, instrument_gateway
+from repro.runtime.trace import build_trace_tree, merge_spans, span, trace_headers
 
 logger = logging.getLogger(__name__)
 
@@ -95,7 +87,7 @@ CONNECT_ERROR = "connect-error"
 TRANSPORT_ERROR = "transport-error"
 
 
-class ServiceGateway:
+class ServiceGateway(RestHost):
     """Fronts a :class:`ReplicaSet` with the unified REST API."""
 
     def __init__(
@@ -111,8 +103,7 @@ class ServiceGateway:
         retry_after_cap: float = 30.0,
         observability: bool = True,
     ):
-        self.name = name
-        self.registry = registry or TransportRegistry()
+        super().__init__(name, registry, observability)
         # explicit None checks: an empty ReplicaSet / IdempotencyCache is
         # falsy (len() == 0), yet a caller-supplied one must still be used
         self.replicas = replicas if replicas is not None else ReplicaSet(registry=self.registry)
@@ -140,21 +131,13 @@ class ServiceGateway:
         #: The autoscaler driving this gateway's membership, if any
         #: (attached by :class:`repro.autoscale.Autoscaler`).
         self.autoscaler = None
-        self.app = RestApp(name)
-        self.metrics: "MetricsRegistry | None" = None
-        self.tracer: "Tracer | None" = None
         self._forward_attempts = None
-        if observability:
-            self.metrics = MetricsRegistry(name)
-            self.tracer = Tracer(name)
-            self.app.add_middleware(ObservabilityMiddleware(self.metrics, self.tracer))
-            mount_metrics(self.app, self.metrics)
+        if self.metrics is not None:
             self._forward_attempts = self.metrics.counter(
                 "mc_gateway_forward_attempts_total",
                 "Submit forward attempts to replicas, by outcome.",
                 labels=("outcome",),
             )
-        self._server: RestServer | None = None
         # what the replicas' result caches did with our submits, as seen
         # in their X-Cache answers (surfaced in /health)
         self._stats_lock = threading.Lock()
@@ -162,7 +145,6 @@ class ServiceGateway:
         # where submits referencing gateway-advertised blobs ended up: on
         # the replica holding the bytes, or elsewhere (which then stages)
         self._data_home_counts = {"home": 0, "fallback": 0}
-        self.local_base = self.registry.bind_local(name, self.app)
         self.app.route("GET", "/", self._health)
         self.app.route("GET", "/health", self._health)
         self.app.route("GET", "/status", self._status)
@@ -180,34 +162,9 @@ class ServiceGateway:
         if self.metrics is not None:
             instrument_gateway(self)
 
-    # ----------------------------------------------------------- publishing
-
-    @property
-    def base_uri(self) -> str:
-        """The advertised URI prefix (http when served, local otherwise)."""
-        if self._server is not None:
-            return self._server.base_url
-        return self.local_base
-
-    def service_uri(self, name: str) -> str:
-        return f"{self.base_uri}/services/{name}"
-
-    def serve(self, host: str = "127.0.0.1", port: int = 0, **server_options: object) -> RestServer:
-        """Expose the gateway over TCP; returns the running server.
-
-        Extra keyword arguments are forwarded to :class:`RestServer`.
-        """
-        if self._server is not None:
-            raise RuntimeError("gateway is already serving")
-        self._server = RestServer(self.app, host=host, port=port, **server_options).start()
-        return self._server
-
     def shutdown(self) -> None:
         self.replicas.stop_health_checks()
-        if self._server is not None:
-            self._server.stop()
-            self._server = None
-        self.registry.unbind_local(self.name)
+        self._unpublish()
 
     # -------------------------------------------------------------- tenancy
 

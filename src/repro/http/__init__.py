@@ -7,8 +7,8 @@ MathCloud's service container needs from its HTTP stack:
 - a URI-template router (:mod:`repro.http.router`),
 - a REST application kernel with middleware (:mod:`repro.http.app`),
 - the TCP server, a selectors-based event loop
-  (:mod:`repro.http.eventloop`; :mod:`repro.http.server` is its public
-  import path),
+  (:mod:`repro.http.eventloop`; import :class:`RestServer` from this
+  package),
 - client transports — real sockets and in-process — behind one interface
   (:mod:`repro.http.transport`), resolved by URI through a registry
   (:mod:`repro.http.registry`),
@@ -31,7 +31,7 @@ from repro.http.messages import (
 )
 from repro.http.registry import TransportRegistry
 from repro.http.router import Router
-from repro.http.server import RestServer
+from repro.http.eventloop import RestServer
 from repro.http.transport import ConnectError, HttpTransport, LocalTransport, Transport, TransportError
 
 __all__ = [

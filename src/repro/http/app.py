@@ -3,7 +3,7 @@
 A :class:`RestApp` owns a router and a middleware chain and turns a
 :class:`~repro.http.messages.Request` into a
 :class:`~repro.http.messages.Response`. It is transport-agnostic: the same
-instance can be served over TCP by :class:`~repro.http.server.RestServer`
+instance can be served over TCP by :class:`~repro.http.RestServer`
 (the event loop of :mod:`repro.http.eventloop`) or called in process through
 :class:`~repro.http.transport.LocalTransport`.
 """

@@ -11,6 +11,7 @@ already keeps, the ``/metrics`` resource, and the gateway's fleet-wide
 from repro.observability.instrument import (
     METRICS_CONTENT_TYPE,
     ObservabilityMiddleware,
+    RestHost,
     instrument_container,
     instrument_gateway,
     instrument_wms,
@@ -28,6 +29,7 @@ __all__ = [
     "METRICS_CONTENT_TYPE",
     "Family",
     "ObservabilityMiddleware",
+    "RestHost",
     "Sample",
     "gateway_status",
     "histogram_quantile",

@@ -1,6 +1,6 @@
 """Wiring the metrics registry and tracer into the serving stack.
 
-Three pieces, deliberately kept out of :mod:`repro.http.app` so the REST
+Four pieces, deliberately kept out of :mod:`repro.http.app` so the REST
 kernel stays observability-agnostic:
 
 - :class:`ObservabilityMiddleware` — outermost middleware: opens the
@@ -10,10 +10,14 @@ kernel stays observability-agnostic:
   in-flight gauge drops when the connection parks, and the latency
   sample lands when the deferred response actually renders.
 - :func:`mount_metrics` — the ``GET /metrics`` resource.
-- :func:`instrument_container` / :func:`instrument_gateway` — register
-  scrape-time collectors over the state each process already maintains
-  (pool stats, job stores, journal counters, cache stats, blob stats,
-  server connection counts; replica set, breakers, retry budget).
+- :class:`RestHost` — the publishing base the container, the WMS and the
+  gateway inherit: app, registry binding, TCP serving, the three pieces
+  above, and the collectors every host has (trace buffer, TCP server).
+- :func:`instrument_container` / :func:`instrument_wms` /
+  :func:`instrument_gateway` — scrape-time collectors over the state only
+  that host has (pool stats and job stores; workflows and runs; replica
+  set, breakers, retry budget). Journal counters come from the host's
+  state spine, and each registered plane contributes its own.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from collections import deque
 from typing import Any
 
 from repro.http.app import DeferredResponse, RestApp
+from repro.http.eventloop import RestServer
 from repro.http.messages import HttpError, Request, Response
+from repro.http.registry import TransportRegistry
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.trace import (
     TRACE_HEADER,
@@ -39,6 +45,7 @@ from repro.runtime.trace import (
 __all__ = [
     "METRICS_CONTENT_TYPE",
     "ObservabilityMiddleware",
+    "RestHost",
     "mount_metrics",
     "instrument_container",
     "instrument_gateway",
@@ -197,20 +204,101 @@ def mount_metrics(app: RestApp, registry: MetricsRegistry) -> None:
     app.route("GET", "/metrics", metrics_handler)
 
 
-def _jobs_by_state(container) -> list[tuple[tuple[str], int]]:
+class RestHost:
+    """What every published component (container, WMS, gateway) is: a
+    name, a transport registry, one :class:`RestApp` bound in process as
+    ``local://<name>`` and optionally served over TCP, with the
+    observability plane (metrics registry, tracer, request middleware,
+    ``GET /metrics``) on unless switched off."""
+
+    def __init__(self, name: str, registry: "TransportRegistry | None", observability: bool):
+        self.name = name
+        self.registry = registry or TransportRegistry()
+        self.app = RestApp(name)
+        # observability is on by default (a production host is blind
+        # without it); the kill switch exists for overhead benchmarks and
+        # minimal embeddings
+        self.metrics: "MetricsRegistry | None" = None
+        self.tracer: "Tracer | None" = None
+        self._server: "RestServer | None" = None
+        if observability:
+            self.metrics = MetricsRegistry(name)
+            self.tracer = Tracer(name)
+            self.app.add_middleware(ObservabilityMiddleware(self.metrics, self.tracer))
+            mount_metrics(self.app, self.metrics)
+            _instrument_host(self)
+        self.local_base = self.registry.bind_local(name, self.app)
+
+    @property
+    def base_uri(self) -> str:
+        """The advertised URI prefix (http when served, local otherwise)."""
+        return self._server.base_url if self._server is not None else self.local_base
+
+    def service_uri(self, name: str) -> str:
+        return f"{self.base_uri}/services/{name}"
+
+    def serve(self, host: str = "127.0.0.1", port: int = 0, **server_options: object) -> RestServer:
+        """Expose the app over TCP; returns the running server. Extra
+        keyword arguments (``idle_timeout``, ``max_body_bytes``,
+        ``handler_threads``, …) are forwarded to :class:`RestServer`."""
+        if self._server is not None:
+            raise RuntimeError(f"{self.name} is already serving")
+        self._server = RestServer(self.app, host=host, port=port, **server_options).start()
+        return self._server
+
+    def _unpublish(self) -> None:
+        """Stop serving over TCP and drop the in-process binding."""
+        if self._server is not None:
+            self._server.stop()
+            self._server = None
+        self.registry.unbind_local(self.name)
+
+
+def _instrument_host(host: RestHost) -> None:
+    """The collectors every host has: trace buffer and TCP server."""
+    metrics, tracer = host.metrics, host.tracer
+    metrics.collector(
+        "mc_trace_spans_recorded_total", "Trace spans accepted into the buffer.",
+        "counter", lambda: tracer.spans_recorded)
+    metrics.collector(
+        "mc_trace_spans_dropped_total", "Trace spans dropped by buffer bounds.",
+        "counter", lambda: tracer.spans_dropped)
+    metrics.collector(
+        "mc_trace_spans_buffered", "Trace spans currently buffered.",
+        "gauge", lambda: tracer.buffered_spans)
+
+    def server_stat(attribute):
+        # reads 0 until (and after) the host serves over TCP
+        return lambda: getattr(host._server, attribute, 0) or 0
+
+    metrics.collector("mc_server_connections_accepted_total",
+                      "TCP connections accepted by the server.",
+                      "counter", server_stat("connections_accepted"))
+    metrics.collector("mc_server_connections_timed_out_total",
+                      "Idle TCP connections reaped by the keep-alive timeout.",
+                      "counter", server_stat("connections_timed_out"))
+    metrics.collector("mc_server_open_connections",
+                      "TCP connections currently open.",
+                      "gauge", server_stat("open_connections"))
+    metrics.collector("mc_server_timer_entries",
+                      "Entries scheduled on the event-loop timer wheel.",
+                      "gauge", server_stat("timer_entries"))
+
+
+def _jobs_by_state(stores) -> list[tuple[tuple[str], int]]:
     tally: dict[str, int] = {}
-    for service in container.services:
-        for job in service.jobs.list():
+    for store in stores:
+        for job in store.jobs.list():
             state = job.state.value
             tally[state] = tally.get(state, 0) + 1
     return [((state,), count) for state, count in sorted(tally.items())]
 
 
 def instrument_container(container: Any) -> None:
-    """Register scrape-time collectors over a ServiceContainer's state."""
+    """Register scrape-time collectors over a ServiceContainer's own state
+    (its registered planes contribute theirs through the state spine)."""
     metrics: MetricsRegistry = container.metrics
     manager = container.job_manager
-    tracer: Tracer = container.tracer
 
     metrics.collector(
         "mc_pool_queued", "Handler-pool tasks waiting for a thread.",
@@ -229,160 +317,18 @@ def instrument_container(container: Any) -> None:
         "gauge", lambda: len(container.services))
     metrics.collector(
         "mc_jobs", "Jobs held by deployed services, by lifecycle state.",
-        "gauge", lambda: _jobs_by_state(container), labels=("state",))
-
-    metrics.collector(
-        "mc_trace_spans_recorded_total", "Trace spans accepted into the buffer.",
-        "counter", lambda: tracer.spans_recorded)
-    metrics.collector(
-        "mc_trace_spans_dropped_total", "Trace spans dropped by buffer bounds.",
-        "counter", lambda: tracer.spans_dropped)
-    metrics.collector(
-        "mc_trace_spans_buffered", "Trace spans currently buffered.",
-        "gauge", lambda: tracer.buffered_spans)
-
-    journal = container.journal
-    if journal is not None:
-        metrics.collector(
-            "mc_journal_records_total", "Records appended to the write-ahead journal.",
-            "counter", lambda: journal.records_appended)
-        metrics.collector(
-            "mc_journal_segments_total", "Journal segments created.",
-            "counter", lambda: journal.segments_created)
-        metrics.collector(
-            "mc_journal_unsynced_records",
-            "Appended records not yet covered by an fsync (group-commit lag).",
-            "gauge", lambda: journal.unsynced_records)
-
-    cache = container.cache
-    if cache is not None:
-        def cache_outcomes():
-            stats = cache.stats()
-            return [
-                (("hit",), stats.hits),
-                (("coalesced",), stats.coalesced),
-                (("miss",), stats.misses),
-            ]
-
-        def cache_removals():
-            stats = cache.stats()
-            return [
-                (("evicted",), stats.evictions),
-                (("expired",), stats.expirations),
-                (("invalidated",), stats.invalidations),
-            ]
-
-        metrics.collector(
-            "mc_cache_lookups_total", "Result-cache claims, by outcome.",
-            "counter", cache_outcomes, labels=("outcome",))
-        metrics.collector(
-            "mc_cache_removals_total", "Result-cache entries removed, by reason.",
-            "counter", cache_removals, labels=("reason",))
-        metrics.collector(
-            "mc_cache_entries", "Result-cache done-tier entries held.",
-            "gauge", lambda: len(cache))
-
-    blobs = container.blobs
-
-    def blob_stat(key):
-        return lambda: blobs.stats()[key]
-
-    metrics.collector("mc_blobs", "Blobs committed in the store.",
-                      "gauge", blob_stat("blobs"))
-    metrics.collector("mc_blob_bytes", "Total bytes across committed blobs.",
-                      "gauge", blob_stat("bytes"))
-    metrics.collector("mc_blob_pinned", "Blobs currently pinned against GC.",
-                      "gauge", blob_stat("pinned"))
-    metrics.collector("mc_blob_chunks_deduped_total",
-                      "Chunk writes skipped because the chunk already existed.",
-                      "counter", blob_stat("chunks_deduped"))
-    metrics.collector("mc_blobs_collected_total", "Blobs removed by the GC.",
-                      "counter", blob_stat("blobs_collected"))
-
-    def server_stat(attribute):
-        def read():
-            server = getattr(container, "_server", None)
-            if server is None:
-                return 0
-            return getattr(server, attribute, 0) or 0
-
-        return read
-
-    metrics.collector("mc_server_connections_accepted_total",
-                      "TCP connections accepted by the server.",
-                      "counter", server_stat("connections_accepted"))
-    metrics.collector("mc_server_connections_timed_out_total",
-                      "Idle TCP connections reaped by the keep-alive timeout.",
-                      "counter", server_stat("connections_timed_out"))
-    metrics.collector("mc_server_open_connections",
-                      "TCP connections currently open.",
-                      "gauge", server_stat("open_connections"))
-    metrics.collector("mc_server_timer_entries",
-                      "Entries scheduled on the event-loop timer wheel.",
-                      "gauge", server_stat("timer_entries"))
+        "gauge", lambda: _jobs_by_state(container.services), labels=("state",))
 
 
 def instrument_wms(wms: Any) -> None:
     """Register scrape-time collectors over a WorkflowManagementService."""
     metrics: MetricsRegistry = wms.metrics
-    tracer: Tracer = wms.tracer
-
-    def runs_by_state():
-        tally: dict[str, int] = {}
-        for name in wms.workflows:
-            try:
-                composite = wms.composite(name)
-            except KeyError:
-                continue  # undeployed between listing and lookup
-            for job in composite.jobs.list():
-                state = job.state.value
-                tally[state] = tally.get(state, 0) + 1
-        return [((state,), count) for state, count in sorted(tally.items())]
-
     metrics.collector(
         "mc_workflows_deployed", "Workflows currently deployed as composite services.",
         "gauge", lambda: len(wms.workflows))
     metrics.collector(
         "mc_jobs", "Workflow runs held by composite services, by lifecycle state.",
-        "gauge", runs_by_state, labels=("state",))
-    metrics.collector(
-        "mc_trace_spans_recorded_total", "Trace spans accepted into the buffer.",
-        "counter", lambda: tracer.spans_recorded)
-    metrics.collector(
-        "mc_trace_spans_dropped_total", "Trace spans dropped by buffer bounds.",
-        "counter", lambda: tracer.spans_dropped)
-    metrics.collector(
-        "mc_trace_spans_buffered", "Trace spans currently buffered.",
-        "gauge", lambda: tracer.buffered_spans)
-
-    journal = wms.journal
-    if journal is not None:
-        metrics.collector(
-            "mc_journal_records_total", "Records appended to the write-ahead journal.",
-            "counter", lambda: journal.records_appended)
-        metrics.collector(
-            "mc_journal_segments_total", "Journal segments created.",
-            "counter", lambda: journal.segments_created)
-        metrics.collector(
-            "mc_journal_unsynced_records",
-            "Appended records not yet covered by an fsync (group-commit lag).",
-            "gauge", lambda: journal.unsynced_records)
-
-    def server_stat(attribute):
-        def read():
-            server = getattr(wms, "_server", None)
-            if server is None:
-                return 0
-            return getattr(server, attribute, 0) or 0
-
-        return read
-
-    metrics.collector("mc_server_connections_accepted_total",
-                      "TCP connections accepted by the server.",
-                      "counter", server_stat("connections_accepted"))
-    metrics.collector("mc_server_open_connections",
-                      "TCP connections currently open.",
-                      "gauge", server_stat("open_connections"))
+        "gauge", lambda: _jobs_by_state(wms.composites()), labels=("state",))
 
 
 def instrument_gateway(gateway: Any) -> None:
@@ -459,19 +405,3 @@ def instrument_gateway(gateway: Any) -> None:
         "Submits referencing gateway-advertised blobs: taken by the replica "
         "holding the bytes (home) or by another, which stages them (fallback).",
         "counter", data_home_outcomes, labels=("outcome",))
-
-    def server_stat(attribute):
-        def read():
-            server = getattr(gateway, "_server", None)
-            if server is None:
-                return 0
-            return getattr(server, attribute, 0) or 0
-
-        return read
-
-    metrics.collector("mc_server_connections_accepted_total",
-                      "TCP connections accepted by the server.",
-                      "counter", server_stat("connections_accepted"))
-    metrics.collector("mc_server_open_connections",
-                      "TCP connections currently open.",
-                      "gauge", server_stat("open_connections"))

@@ -19,9 +19,9 @@ Management calls authenticate with the tenant's owner certificate (the
 
 from __future__ import annotations
 
+from repro.http import RestServer
 from repro.http.app import RestApp
 from repro.http.messages import HttpError, Request, Response
-from repro.http.server import RestServer
 from repro.paas.platform import PaasError, Platform, Quota
 from repro.security.errors import AuthenticationError
 from repro.security.middleware import CERTIFICATE_HEADER

@@ -17,7 +17,9 @@ Three concrete instrument kinds plus one escape hatch:
 - :meth:`MetricsRegistry.collector` — a callback evaluated at scrape
   time, for values the codebase already maintains under its own locks
   (pool stats, cache stats, journal counters, ...).  A failing callback
-  is skipped, never raised: observability must not take the service down.
+  or scrape hook is skipped, never raised — observability must not take
+  the service down — and counted on the same page as
+  ``mc_metrics_collector_errors_total{family}``.
 
 Exposition follows the Prometheus text format 0.0.4: ``# HELP`` /
 ``# TYPE`` headers, ``\\`` ``"`` and newline escaping in label values,
@@ -50,6 +52,9 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
     0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
+
+#: Family counting swallowed collector/scrape-hook failures, by family.
+COLLECTOR_ERRORS = "mc_metrics_collector_errors_total"
 
 #: Weak set of live registries, for post-mortem snapshots (see
 #: :func:`render_all_registries`).  Weak so tests creating thousands of
@@ -159,11 +164,8 @@ class _CounterChild:
             self.value += amount
 
 
-class Counter(_Family):
-    kind = "counter"
-
-    def _make_child(self) -> _CounterChild:
-        return _CounterChild()
+class _ScalarFamily(_Family):
+    """A family whose children each hold one number (counters, gauges)."""
 
     def inc(self, amount: float = 1.0) -> None:
         self.labels().inc(amount)
@@ -183,6 +185,13 @@ class Counter(_Family):
             labels = _labels_text(self.label_names, key)
             lines.append(f"{self.name}{labels} {_format_value(child.value)}")
         return lines
+
+
+class Counter(_ScalarFamily):
+    kind = "counter"
+
+    def _make_child(self) -> _CounterChild:
+        return _CounterChild()
 
 
 class _GaugeChild:
@@ -203,7 +212,7 @@ class _GaugeChild:
         self.inc(-amount)
 
 
-class Gauge(_Family):
+class Gauge(_ScalarFamily):
     kind = "gauge"
 
     def _make_child(self) -> _GaugeChild:
@@ -212,27 +221,8 @@ class Gauge(_Family):
     def set(self, value: float) -> None:
         self.labels().set(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.labels().inc(amount)
-
     def dec(self, amount: float = 1.0) -> None:
         self.labels().dec(amount)
-
-    @property
-    def value(self) -> float:
-        return self.labels().value if not self.label_names else sum(
-            child.value for child in self._children.values()
-        )
-
-    def render(self) -> list[str]:
-        lines = self.header_lines()
-        if not self.label_names and not self._children:
-            lines.append(f"{self.name} 0")
-            return lines
-        for key, child in sorted(self._children.items()):
-            labels = _labels_text(self.label_names, key)
-            lines.append(f"{self.name}{labels} {_format_value(child.value)}")
-        return lines
 
 
 class _HistogramChild:
@@ -327,36 +317,30 @@ class Histogram(_Family):
 class _CollectorFamily(_Family):
     """A family whose samples come from a callback at scrape time."""
 
-    def __init__(self, name, help, label_names, kind, fn):
+    def __init__(self, name, help, label_names, kind, fn, on_error):
         super().__init__(name, help, label_names)
         if kind not in ("counter", "gauge"):
             raise ValueError(f"collector kind must be counter or gauge, not {kind!r}")
         self.kind = kind
         self.fn = fn
+        self.on_error = on_error
 
     def render(self) -> list[str]:
+        lines = self.header_lines()
         try:
             produced = self.fn()
-        except Exception:
-            return []  # a broken callback must not break the scrape
-        lines = self.header_lines()
-        if isinstance(produced, (int, float)):
-            if self.label_names:
-                return []
-            lines.append(f"{self.name} {_format_value(float(produced))}")
-            return lines
-        emitted = False
-        try:
+            if isinstance(produced, (int, float)):
+                produced = [] if self.label_names else [((), produced)]
             for label_values, value in produced:
                 key = tuple(str(v) for v in label_values)
                 if len(key) != len(self.label_names):
                     continue
                 labels = _labels_text(self.label_names, key)
                 lines.append(f"{self.name}{labels} {_format_value(float(value))}")
-                emitted = True
-        except Exception:
+        except Exception:  # noqa: BLE001 - a broken callback must not break the scrape
+            self.on_error(self.name)
             return []
-        return lines if emitted else []
+        return lines if len(lines) > 2 else []
 
 
 class MetricsRegistry:
@@ -374,6 +358,14 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._scrape_hooks: list[Callable[[], None]] = []
         _REGISTRIES.add(self)
+
+    def _count_error(self, family: str) -> None:
+        """A collector callback or scrape hook raised: swallowed, counted."""
+        self.counter(
+            COLLECTOR_ERRORS,
+            "Collector callbacks and scrape hooks that raised during a scrape.",
+            labels=("family",),
+        ).labels(family).inc()
 
     def on_scrape(self, hook: Callable[[], None]) -> None:
         """Register a callback run at the start of every scrape.
@@ -413,7 +405,9 @@ class MetricsRegistry:
     def collector(self, name: str, help: str, kind: str,
                   fn: Callable[[], Any], labels: Sequence[str] = ()) -> _Family:
         return self._register(
-            name, lambda: _CollectorFamily(name, help, labels, kind, fn), kind, labels
+            name,
+            lambda: _CollectorFamily(name, help, labels, kind, fn, self._count_error),
+            kind, labels,
         )
 
     def families(self) -> list[_Family]:
@@ -421,14 +415,21 @@ class MetricsRegistry:
             try:
                 hook()
             except Exception:  # noqa: BLE001 - a broken hook must not break the scrape
-                pass
+                self._count_error(getattr(hook, "__qualname__", "scrape_hook"))
         return sorted(self._families.values(), key=lambda f: f.name)
 
     def render(self) -> str:
-        """The registry as Prometheus text exposition format 0.0.4."""
+        """The registry as Prometheus text exposition format 0.0.4.
+
+        The error counter renders last, so a collector that fails during
+        this scrape is already counted on this page."""
         lines: list[str] = []
         for family in self.families():
-            lines.extend(family.render())
+            if family.name != COLLECTOR_ERRORS:
+                lines.extend(family.render())
+        errors = self._families.get(COLLECTOR_ERRORS)
+        if errors is not None:
+            lines.extend(errors.render())
         return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -12,20 +12,26 @@ currencies:
 - **disk-bytes** — blob bytes pinned on behalf of the tenant's jobs,
   refunded when the pins are released.
 
-Every delta is journaled as ``{"type": "usage", "tenant": t, "cpu": dc,
-"disk": dd}`` through the owning process's durability journal before it
-is applied in memory.  Replay is a pure sum — deltas commute and
-associate, so segment order and snapshot/record interleaving cannot
-change the recovered balance — and the *charge* side clamps refunds to
-the balance actually held, so the running sums themselves never go
-negative, not merely the reported values.
+Every delta is journaled as ``{"tenant": t, "cpu": dc, "disk": dd,
+"type": "usage", "n": k}`` through the owning process's durability
+journal before it is applied in memory (:meth:`TenantRegistry.join`
+registers the vocabulary with the container's state spine).  Replay is a
+pure sum — deltas commute and associate, so segment order cannot change
+the recovered balance — and the *charge* side clamps refunds to the
+balance actually held, so the running sums themselves never go negative,
+not merely the reported values.  Sums are not idempotent, so each record
+carries its number ``n`` and :meth:`TenantRegistry.export` stamps the
+last number it covers on every row: replay on top of a snapshot skips
+the records the snapshot already reflects (compaction exports *after*
+cutting the journal, so such records exist).  Records without a number,
+written before numbering existed, always apply.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 #: Request header naming the billing tenant when no authenticated
 #: identity is present (demos, examples, trusted perimeters).
@@ -81,18 +87,22 @@ def apply_usage_event(table: dict, record: Mapping) -> None:
 class TenantRegistry:
     """Tenant specs plus journaled usage balances.
 
-    ``journal_fn`` receives each usage delta *before* it is applied, in
-    the same dict shape ``apply_usage_event`` consumes; wire it to
-    ``JobManager.record_usage`` so balances ride the container's
-    write-ahead journal.
+    ``journal_fn`` receives each usage record *before* it is applied, in
+    the same dict shape ``apply_usage_event`` consumes; :meth:`join` points
+    it at the container's state spine so balances ride the write-ahead
+    journal.
     """
 
-    def __init__(self, journal_fn: Callable[[dict], None] | None = None):
+    def __init__(self):
         self._lock = threading.Lock()
         self._specs: dict[str, TenantSpec] = {}
         self._assignments: dict[str, str] = {}
         self._usage: dict[str, dict] = {}
-        self._journal_fn = journal_fn
+        #: Journal sink for ``{"type": "usage"}`` records (``None`` while
+        #: volatile); called under the registry lock, so record numbers
+        #: reach the journal in order.
+        self.journal_fn: "Callable[[dict], None] | None" = None
+        self._recorded = 0  # number of the last usage record journaled
 
     # -- declaration -------------------------------------------------
 
@@ -152,9 +162,10 @@ class TenantRegistry:
                 disk = -min(-disk, entry["disk"])
             if not cpu and not disk:
                 return
-            record = {"tenant": tenant, "cpu": cpu, "disk": disk}
-            if self._journal_fn is not None:
-                self._journal_fn(record)
+            if self.journal_fn is not None:
+                self._recorded += 1
+                self.journal_fn({"tenant": tenant, "cpu": cpu, "disk": disk,
+                                 "type": "usage", "n": self._recorded})
             entry["cpu"] += cpu
             entry["disk"] += disk
 
@@ -179,7 +190,32 @@ class TenantRegistry:
     def over_quota(self, tenant: str) -> bool:
         return self.over_cpu(tenant) or self.over_disk(tenant)
 
+    def charge_job(self, job: Any, state: Any) -> None:
+        """Job-transition observer: bill the adapter run's wall time to
+        the job's tenant, exactly once — on the terminal transition
+        (recovery restores terminal jobs directly, without re-firing it)."""
+        tenant = job.extra.get("tenant")
+        if state.terminal and tenant and job.started and job.finished:
+            self.charge(tenant, cpu=max(0.0, job.finished - job.started))
+
     # -- durability --------------------------------------------------
+
+    def join(self, spine: Any) -> None:
+        """Register the usage vocabulary (records and snapshot section
+        ``usage``) with the container's state spine and adopt whatever
+        balances it recovered."""
+        self.journal_fn = spine.register(
+            ("usage",), ("usage",), self._restore, lambda: {"usage": self.export()})
+
+    def _restore(self, sections: Mapping[str, Any], records: list[dict]) -> None:
+        rows = sections.get("usage") or []
+        covered = max((row.get("n", 0) for row in rows), default=0)
+        # unnumbered records predate numbering: always apply
+        fresh = [record for record in records if record.get("n", covered + 1) > covered]
+        with self._lock:
+            for record in [*rows, *fresh]:
+                apply_usage_event(self._usage, record)
+            self._recorded = max(self._recorded, covered, *(r.get("n", 0) for r in fresh))
 
     def recover(self, table: Mapping[str, Mapping] | None) -> None:
         """Adopt balances folded out of the journal by
@@ -193,12 +229,13 @@ class TenantRegistry:
                 mine["disk"] += int(entry.get("disk", 0))
 
     def export(self) -> list[dict]:
-        """Balances in journal-record shape, for snapshot compaction."""
+        """Balances in journal-record shape, for snapshot compaction; each
+        row carries the number of the last usage record it reflects."""
         with self._lock:
             return [
-                {"tenant": tenant, "cpu": entry["cpu"], "disk": entry["disk"]}
+                {"tenant": tenant, "cpu": entry["cpu"], "disk": entry["disk"],
+                 "n": self._recorded}
                 for tenant, entry in sorted(self._usage.items())
-                if entry["cpu"] or entry["disk"]
             ]
 
     # -- reporting ---------------------------------------------------

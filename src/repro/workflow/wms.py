@@ -28,14 +28,11 @@ from repro.core.api import SubmitLedger, mount_service, unmount_service
 from repro.core.errors import BadInputError, ServiceError
 from repro.core.files import FileEntry, FileStore
 from repro.core.jobs import Job, JobState, JobStore, job_document, restore_job
-from repro.durability.journal import Journal
-from repro.http.app import RestApp
+from repro.durability import StateSpine
 from repro.http.client import IDEMPOTENCY_KEY_HEADER
 from repro.http.messages import HttpError, Request, Response
 from repro.http.registry import TransportRegistry
-from repro.http.server import RestServer
-from repro.observability import ObservabilityMiddleware, instrument_wms, mount_metrics
-from repro.runtime.metrics import MetricsRegistry
+from repro.observability import RestHost, instrument_wms
 from repro.runtime.trace import (
     SpanContext,
     Tracer,
@@ -64,9 +61,8 @@ def apply_run_event(
     runs: dict[str, dict[str, dict[str, Any]]],
     record: dict[str, Any],
 ) -> None:
-    """Fold one WMS journal record into the recovery tables."""
-    kind = record.get("type")
-    if kind == "workflow":
+    """Fold one ``workflow`` or ``run`` record into the recovery tables."""
+    if record.get("type") == "workflow":
         name, event = record.get("name"), record.get("event")
         if not name or not event:
             return
@@ -75,8 +71,6 @@ def apply_run_event(
         elif event == "undeployed":
             workflows.pop(name, None)
             runs.pop(name, None)
-        return
-    if kind != "run":
         return
     name, run_id, event = record.get("workflow"), record.get("id"), record.get("event")
     if not name or not run_id or not event:
@@ -100,11 +94,7 @@ def apply_run_event(
         if block:
             document.setdefault("checkpoints", {})[block] = record.get("outputs") or {}
     elif event in ("done", "failed", "cancelled"):
-        document["state"] = {
-            "done": JobState.DONE.value,
-            "failed": JobState.FAILED.value,
-            "cancelled": JobState.CANCELLED.value,
-        }[event]
+        document["state"] = JobState[event.upper()].value
         for field in ("results", "error", "finished", "blocks"):
             if field in record:
                 document[field] = record[field]
@@ -341,7 +331,7 @@ class CompositeService:
         job.try_finish(lambda: (JobState.DONE, outputs))
 
 
-class WorkflowManagementService:
+class WorkflowManagementService(RestHost):
     """Stores workflows and publishes each as a composite service."""
 
     def __init__(
@@ -354,16 +344,7 @@ class WorkflowManagementService:
         journal_fsync: str = "batch",
         observability: bool = True,
     ):
-        self.name = name
-        self.registry = registry or TransportRegistry()
-        self.app = RestApp(name)
-        self.metrics: "MetricsRegistry | None" = None
-        self.tracer: "Tracer | None" = None
-        if observability:
-            self.metrics = MetricsRegistry(name)
-            self.tracer = Tracer(name)
-            self.app.add_middleware(ObservabilityMiddleware(self.metrics, self.tracer))
-            mount_metrics(self.app, self.metrics)
+        super().__init__(name, registry, observability)
         #: Headers the WMS itself presents when calling member services
         #: (its service certificate when the federation is secured).
         self.credentials = dict(credentials or {})
@@ -372,16 +353,18 @@ class WorkflowManagementService:
         )
         self._composites: dict[str, CompositeService] = {}
         self._lock = threading.Lock()
-        self._server: RestServer | None = None
-        self.journal: Journal | None = None
-        #: Corruption tolerated while replaying the journal, if any.
-        self.recovery_warnings: list[str] = []
         self._recovered_runs: dict[str, dict[str, dict[str, Any]]] = {}
-        recovered_workflows: dict[str, dict[str, Any]] = {}
-        if journal_dir is not None:
-            self.journal = Journal(Path(journal_dir), fsync=journal_fsync)
-            recovered_workflows = self._replay()
-        self.local_base = self.registry.bind_local(name, self.app)
+        self._recovered_workflows: dict[str, dict[str, Any]] = {}
+        # workflow and run records fold together: an ``undeployed``
+        # workflow takes its runs with it
+        self.state = StateSpine(journal_dir, journal_fsync, self.metrics)
+        #: The WMS's write-ahead journal (``None`` when volatile).
+        self.journal = self.state.journal
+        self._journal_append = self.state.register(
+            ("workflow", "run"), ("workflows", "runs"), self._restore, self._export
+        ) or (lambda record: None)
+        #: Corruption tolerated while replaying the journal, if any.
+        self.recovery_warnings: list[str] = self.state.recovery_warnings
         self.app.route("GET", "/workflows", self._list)
         self.app.route("POST", "/workflows", self._create)
         self.app.route("GET", "/workflows/{workflow_id}", self._get)
@@ -389,7 +372,7 @@ class WorkflowManagementService:
         self.app.route("DELETE", "/workflows/{workflow_id}", self._delete)
         # redeploy journaled workflows: deploy_workflow consumes each
         # workflow's recovered runs, restoring or resuming them
-        for workflow_name, document in recovered_workflows.items():
+        for workflow_name, document in self._recovered_workflows.items():
             try:
                 self.deploy_workflow(parse_workflow(document, self.registry))
             except (WorkflowError, BadInputError) as exc:
@@ -400,32 +383,12 @@ class WorkflowManagementService:
         if self.metrics is not None:
             instrument_wms(self)
 
-    # ----------------------------------------------------------- publishing
-
-    @property
-    def base_uri(self) -> str:
-        return self._server.base_url if self._server is not None else self.local_base
-
-    def service_uri(self, workflow_name: str) -> str:
-        return f"{self.base_uri}/services/{workflow_name}"
-
     def workflow_uri(self, workflow_name: str) -> str:
         return f"{self.base_uri}/workflows/{workflow_name}"
 
-    def serve(self, host: str = "127.0.0.1", port: int = 0, **server_options: object) -> RestServer:
-        if self._server is not None:
-            raise RuntimeError("WMS is already serving")
-        self._server = RestServer(self.app, host=host, port=port, **server_options).start()
-        return self._server
-
     def shutdown(self) -> None:
-        if self._server is not None:
-            self._server.stop()
-            self._server = None
-        self.registry.unbind_local(self.name)
-        if self.journal is not None:
-            self.journal.sync()
-            self.journal.close()
+        self._unpublish()
+        self.state.close()
 
     # ----------------------------------------------------------- durability
 
@@ -433,60 +396,33 @@ class WorkflowManagementService:
         """Simulate a cold stop: the journal closes first, so nothing the
         dying run threads do afterwards is persisted. Rebuild by
         constructing a fresh WMS over the same ``journal_dir``."""
-        if self.journal is not None:
-            self.journal.close()
-        if self._server is not None:
-            self._server.stop()
-            self._server = None
-        self.registry.unbind_local(self.name)
+        self.state.crash()
+        self._unpublish()
 
     def compact(self) -> None:
         """Snapshot deployed workflows and their runs (with resume
         checkpoints) into the journal; drop the segments it covers."""
-        if self.journal is None:
-            return
-        with self._lock:
-            composites = dict(self._composites)
-        state: dict[str, Any] = {
-            "workflows": {
-                name: workflow_to_json(composite.workflow)
-                for name, composite in composites.items()
-            },
-            "runs": {
-                name: {job.id: composite.run_document(job) for job in composite.jobs.list()}
-                for name, composite in composites.items()
-            },
-        }
-        self.journal.snapshot(state)
+        self.state.compact()
 
-    def _replay(self) -> dict[str, dict[str, Any]]:
-        recovery = self.journal.recover()
-        self.recovery_warnings = list(recovery.warnings)
-        snapshot = recovery.snapshot or {}
-        workflows = {
-            name: dict(document)
-            for name, document in (snapshot.get("workflows") or {}).items()
+    def _export(self) -> dict[str, Any]:
+        composites = self.composites()
+        return {
+            "workflows": {c.workflow.name: workflow_to_json(c.workflow) for c in composites},
+            "runs": {
+                c.workflow.name: {job.id: c.run_document(job) for job in c.jobs.list()}
+                for c in composites
+            },
         }
-        runs = {
-            name: {run_id: dict(document) for run_id, document in table.items()}
-            for name, table in (snapshot.get("runs") or {}).items()
-        }
-        for record in recovery.records:
+
+    def _restore(self, sections: dict[str, Any], records: list[dict[str, Any]]) -> None:
+        workflows = sections.get("workflows") or {}
+        runs = sections.get("runs") or {}
+        for record in records:
             apply_run_event(workflows, runs, record)
-        self._recovered_runs = runs
+        self._recovered_workflows, self._recovered_runs = workflows, runs
         if workflows or runs:
             total = sum(len(table) for table in runs.values())
             logger.info("replayed WMS journal: %d workflows, %d runs", len(workflows), total)
-        return workflows
-
-    def _journal_append(self, record: dict[str, Any]) -> None:
-        """Journal one record; persistence failures never break a run."""
-        if self.journal is None:
-            return
-        try:
-            self.journal.append(record)
-        except Exception as error:  # noqa: BLE001 - journaling is best-effort
-            logger.error("WMS journal append failed for %s: %s", record.get("id"), error)
 
     # ------------------------------------------------------------- storage
 
@@ -562,6 +498,10 @@ class WorkflowManagementService:
             if name not in self._composites:
                 raise KeyError(name)
             return self._composites[name]
+
+    def composites(self) -> list[CompositeService]:
+        with self._lock:
+            return list(self._composites.values())
 
     @property
     def workflows(self) -> list[str]:

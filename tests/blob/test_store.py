@@ -172,7 +172,7 @@ class TestDurability:
     def test_export_recover_round_trip(self, store, tmp_path):
         manifest = store.put_bytes(b"snapshot me")
         store.pin(manifest.digest, "job:alive")
-        from repro.container.jobmanager import apply_blob_event
+        from repro.blob.store import apply_blob_event
 
         table = {}
         for record in store.export():

@@ -258,11 +258,13 @@ class TestRehydration:
 
     def test_journal_fn_called_on_promotion(self):
         records = []
-        cache = ResultCache(journal_fn=lambda *args: records.append(args))
+        cache = ResultCache()
+        cache.journal_fn = records.append
         cache.claim("fp")
         job = make_job()
         cache.register("fp", "svc", job)
         finish(job)
         assert len(records) == 1
-        service, fp, job_id, stored = records[0]
-        assert (service, fp, job_id) == ("svc", "fp", job.id)
+        record = records[0]
+        assert record["type"] == "cache"
+        assert (record["service"], record["fp"], record["id"]) == ("svc", "fp", job.id)

@@ -80,7 +80,7 @@ class TestKillAndRebuild:
         second = ServiceContainer("dur", handlers=1, registry=registry, journal_dir=tmp_path)
         second.deploy(work_config(gate))
         try:
-            assert second.job_manager.recovery_warnings == []
+            assert second.recovery_warnings == []
             # completed: result intact, and ?wait= answers immediately
             start = time.monotonic()
             recovered = client.get(done["uri"], query={"wait": 5})

@@ -17,10 +17,10 @@ import pytest
 from repro.blob import BlobStore
 from repro.container import ServiceContainer
 from repro.gateway import ServiceGateway
+from repro.http import RestServer
 from repro.http.app import DEFER_CAPABILITY, RestApp
 from repro.http.messages import BodySpool, Response
 from repro.http.registry import TransportRegistry
-from repro.http.server import RestServer
 from repro.http.transport import HttpTransport
 from tests.http.test_eventloop import content_length
 from tests.waiters import wait_until

@@ -7,11 +7,11 @@ transports.
 
 import pytest
 
+from repro.http import RestServer
 from repro.http.app import RestApp
 from repro.http.client import ClientError, RestClient, join_url
 from repro.http.messages import HttpError, Request, Response
 from repro.http.registry import TransportRegistry
-from repro.http.server import RestServer
 from repro.http.transport import TransportError
 
 

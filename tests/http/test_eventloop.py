@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.core.jobs import Job
+from repro.http import RestServer
 from repro.http.app import RestApp
 from repro.http.eventloop import TimerWheel
 from repro.http.messages import (
@@ -24,7 +25,6 @@ from repro.http.messages import (
     Response,
     serialize_response,
 )
-from repro.http.server import RestServer
 from tests.waiters import wait_until
 
 

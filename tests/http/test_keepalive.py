@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.http import RestServer
 from repro.http.app import RestApp
 from repro.http.client import (
     IDEMPOTENCY_KEY_HEADER,
@@ -12,7 +13,6 @@ from repro.http.client import (
 )
 from repro.http.messages import Response
 from repro.http.registry import TransportRegistry
-from repro.http.server import RestServer
 from repro.http.transport import HttpTransport, TransportError
 
 

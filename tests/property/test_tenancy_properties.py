@@ -153,7 +153,8 @@ class TestQuotaArithmetic:
         """What the journal captured replays to exactly what the live
         registry holds — the crash-recovery contract."""
         journal: list = []
-        registry = TenantRegistry(journal_fn=journal.append)
+        registry = TenantRegistry()
+        registry.journal_fn = journal.append
         for tenant, cpu, disk in events:
             registry.charge(tenant, cpu=cpu, disk=disk)
         table: dict = {}

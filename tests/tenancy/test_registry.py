@@ -67,13 +67,14 @@ def test_refunds_clamped_to_balance():
 
 def test_journal_fn_sees_every_applied_delta():
     records = []
-    registry = TenantRegistry(journal_fn=records.append)
+    registry = TenantRegistry()
+    registry.journal_fn = records.append
     registry.charge("t", cpu=2.0, disk=5)
     registry.charge("t", disk=-5)
     registry.charge("t")  # zero delta: not journaled
     assert records == [
-        {"tenant": "t", "cpu": 2.0, "disk": 5},
-        {"tenant": "t", "cpu": 0, "disk": -5},
+        {"tenant": "t", "cpu": 2.0, "disk": 5, "type": "usage", "n": 1},
+        {"tenant": "t", "cpu": 0, "disk": -5, "type": "usage", "n": 2},
     ]
     # replaying the journaled deltas reproduces the balance exactly
     table = {}
