@@ -80,6 +80,7 @@ def test_catalogue_scale(registry, benchmark):
         assert search_time < 0.5
         benchmark(lambda: catalogue.search("exact hilbert inversion"))
     finally:
+        catalogue.close()
         container.shutdown()
 
 

@@ -31,6 +31,7 @@ def main() -> None:
     registry = TransportRegistry()
     org_a = ServiceContainer("org-a", handlers=2, registry=registry)
     org_b = ServiceContainer("org-b", handlers=2, registry=registry)
+    catalogue_service = CatalogueService(registry=registry)
     try:
         for index, (name, title, text, tags) in enumerate(SERVICES):
             container = org_a if index % 2 == 0 else org_b
@@ -49,8 +50,7 @@ def main() -> None:
             )
 
         # --- publish & search ---------------------------------------------
-        catalogue_service = CatalogueService(registry=registry)
-        catalogue_base = catalogue_service.bind_local("catalogue")
+        catalogue_base = catalogue_service.local_base
         catalogue: Catalogue = catalogue_service.catalogue
         for index, (name, _, _, tags) in enumerate(SERVICES):
             container = org_a if index % 2 == 0 else org_b
@@ -89,6 +89,7 @@ def main() -> None:
         alice = proxy.with_headers(client_headers(certificate=ca.issue("CN=alice")))
         print("with alice's certificate:", alice.describe().title)
     finally:
+        catalogue_service.shutdown()
         org_a.shutdown()
         org_b.shutdown()
 

@@ -13,9 +13,9 @@ Pieces:
   highlighted query terms;
 - :mod:`repro.catalogue.catalogue` — the catalogue proper: publish by URI
   (the description is retrieved through the unified REST API), full-text
-  search with tag/availability filters, periodic pinging, user tagging,
-  JSON persistence;
-- :mod:`repro.catalogue.service` — the catalogue as a RESTful web app.
+  search with tag/availability filters, pooled pinging, user tagging,
+  entries journaled through a state spine;
+- :mod:`repro.catalogue.service` — the catalogue as a RESTful web host.
 """
 
 from repro.catalogue.catalogue import Catalogue, CatalogueEntry

@@ -5,17 +5,18 @@ catalogue then "retrieves service description via the unified REST API,
 performs indexing and stores description along with specified tags"
 (paper §3.2). A background pinger keeps availability current, and entries
 can be tagged by users after publication (the paper's "collaborative
-Web 2.0" feature).
+Web 2.0" feature). Joined to a host's state spine, publication, tagging
+and unpublication are journaled; availability is not, because the next
+probe round measures it afresh.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.catalogue.index import InvertedIndex
 from repro.catalogue.snippets import make_snippet
@@ -59,7 +60,7 @@ class CatalogueEntry:
             self.name,
             self.title,
             str(self.description.get("description", "")),
-            " ".join(self.tags),
+            " ".join(sorted(self.tags)),
         ]
         for group in ("inputs", "outputs"):
             for parameter_name, spec in self.description.get(group, {}).items():
@@ -79,6 +80,15 @@ class CatalogueEntry:
             "last_ping": self.last_ping,
         }
 
+    def durable(self) -> dict[str, Any]:
+        """What the journal keeps: what the publisher and annotators set."""
+        return {
+            "uri": self.uri,
+            "description": self.description,
+            "tags": sorted(self.tags),
+            "published_at": self.published_at,
+        }
+
     @classmethod
     def from_json(cls, document: dict[str, Any]) -> "CatalogueEntry":
         return cls(
@@ -95,6 +105,9 @@ class CatalogueEntry:
 class Catalogue:
     """Discovery, monitoring and annotation of computational web services."""
 
+    #: Probes one :meth:`ping_all` round runs at once.
+    PROBE_WORKERS = 2
+
     def __init__(self, registry: TransportRegistry | None = None):
         self.registry = registry or TransportRegistry()
         self._client = RestClient(self.registry)
@@ -103,7 +116,9 @@ class Catalogue:
         self._index = InvertedIndex()
         self._lock = threading.Lock()
         self._pinger: PeriodicTask | None = None
-        self._ping_pool: ExecutorPool | None = None
+        self._probe_pool: ExecutorPool | None = None
+        #: The journal sink (set by :meth:`join`; ``None`` when volatile).
+        self.journal_fn: "Callable[[dict[str, Any]], None] | None" = None
 
     # ---------------------------------------------------------- publication
 
@@ -118,24 +133,20 @@ class Catalogue:
             raise CatalogueError(f"{uri!r} did not return a service description")
         entry = CatalogueEntry(uri=uri, description=description, tags=set(tags or []))
         with self._lock:
-            self._entries[uri] = entry
-        self._index.add(uri, entry.index_text())
+            self._put(entry)
         return entry
 
     def unpublish(self, uri: str) -> None:
-        uri = uri.rstrip("/")
         with self._lock:
-            if uri not in self._entries:
-                raise CatalogueError(f"service {uri!r} is not published")
-            del self._entries[uri]
-        self._index.remove(uri)
+            entry = self._get(uri)
+            del self._entries[entry.uri]
+            self._index.remove(entry.uri)
+            if self.journal_fn is not None:
+                self.journal_fn({"type": "catalogue", "event": "drop", "uri": entry.uri})
 
     def entry(self, uri: str) -> CatalogueEntry:
         with self._lock:
-            entry = self._entries.get(uri.rstrip("/"))
-        if entry is None:
-            raise CatalogueError(f"service {uri!r} is not published")
-        return entry
+            return self._get(uri)
 
     def entries(self) -> list[CatalogueEntry]:
         with self._lock:
@@ -143,10 +154,62 @@ class Catalogue:
 
     def add_tags(self, uri: str, tags: list[str]) -> CatalogueEntry:
         """User tagging (the catalogue's collaborative feature)."""
-        entry = self.entry(uri)
-        entry.tags.update(tags)
-        self._index.add(entry.uri, entry.index_text())
+        with self._lock:
+            entry = self._get(uri)
+            entry.tags.update(tags)
+            self._put(entry)
         return entry
+
+    def _get(self, uri: str) -> CatalogueEntry:
+        entry = self._entries.get(uri.rstrip("/"))
+        if entry is None:
+            raise CatalogueError(f"service {uri!r} is not published")
+        return entry
+
+    def _put(self, entry: CatalogueEntry) -> None:
+        # under the lock: the journal sees changes to one URI in the order
+        # they were made, which keeps the folds below state-setting
+        self._entries[entry.uri] = entry
+        self._index.add(entry.uri, entry.index_text())
+        if self.journal_fn is not None:
+            self.journal_fn({"type": "catalogue", "event": "put", "entry": entry.durable()})
+
+    # ---------------------------------------------------------- durability
+
+    def join(self, spine: Any) -> None:
+        """Register the catalogue vocabulary (``catalogue`` records and
+        snapshot section), its collector and its shutdown action with the
+        host's state spine."""
+        self.journal_fn = spine.register(
+            ("catalogue",), ("catalogue",), self._restore,
+            lambda: {"catalogue": self.export()},
+            collectors=self.instrument, close=self.close)
+
+    def _restore(self, sections: dict[str, Any], records: list[dict[str, Any]]) -> None:
+        # the spine restores before it hands out the sink: _put journals nothing here
+        for document in sections.get("catalogue") or []:
+            self._put(CatalogueEntry.from_json(document))
+        for record in records:
+            if record.get("event") == "put":
+                self._put(CatalogueEntry.from_json(record["entry"]))
+            elif record.get("event") == "drop" and self._entries.pop(record["uri"], None):
+                self._index.remove(record["uri"])
+
+    def export(self) -> list[dict[str, Any]]:
+        """Every entry in its durable form (compaction snapshots)."""
+        with self._lock:
+            return [entry.durable() for entry in self._entries.values()]
+
+    def instrument(self, metrics: Any) -> None:
+        """Register the catalogue's scrape-time collector on ``metrics``."""
+
+        def by_status():
+            tally = Counter(entry.status for entry in self.entries())
+            return [((status,), count) for status, count in sorted(tally.items())]
+
+        metrics.collector(
+            "mc_catalogue_entries", "Published services, by last probed status.",
+            "gauge", by_status, labels=("status",))
 
     # -------------------------------------------------------------- search
 
@@ -218,51 +281,36 @@ class Catalogue:
         return entry.available
 
     def ping_all(self) -> dict[str, bool]:
-        return {entry.uri: self.ping(entry.uri) for entry in self.entries()}
+        """One probe round over every entry, fanned out over the probe
+        pool: an unreachable service costs the round one probe timeout,
+        not one per entry behind it. Entries unpublished meanwhile drop
+        out of the answer."""
+        with self._lock:
+            if self._probe_pool is None:
+                self._probe_pool = ExecutorPool(self.PROBE_WORKERS, name="catalogue-probe")
+            pool = self._probe_pool
+        handles = {entry.uri: pool.submit(self.ping, entry.uri) for entry in self.entries()}
+        for handle in handles.values():
+            handle.wait()
+        return {uri: handle.result for uri, handle in handles.items() if handle.error is None}
 
-    def start_pinger(self, interval: float = 30.0, workers: int = 2) -> None:
-        """Probe every published service periodically.
-
-        Each round fans the pings out over a small
-        :class:`~repro.runtime.ExecutorPool`, so one unreachable service
-        (a socket timeout) no longer stalls the availability of every
-        entry behind it in the round.
-        """
+    def start_pinger(self, interval: float = 30.0) -> None:
+        """Run :meth:`ping_all` every ``interval`` seconds."""
         if self._pinger is not None:
             raise RuntimeError("pinger already running")
-        self._ping_pool = ExecutorPool(workers=workers, name="catalogue-ping")
-        self._pinger = PeriodicTask(interval, self._ping_round, name="catalogue-pinger")
+        self._pinger = PeriodicTask(interval, self.ping_all, name="catalogue-pinger")
         self._pinger.start()
-
-    def _ping_round(self) -> None:
-        pool = self._ping_pool
-        if pool is None:
-            return
-        handles = [pool.submit(self.ping, entry.uri) for entry in self.entries()]
-        for handle in handles:
-            handle.wait(timeout=60)
 
     def stop_pinger(self) -> None:
         if self._pinger is None:
             return
         self._pinger.stop()
         self._pinger = None
-        if self._ping_pool is not None:
-            self._ping_pool.shutdown(wait=False)
-            self._ping_pool = None
 
-    # ---------------------------------------------------------- persistence
-
-    def save(self, path: str | Path) -> None:
-        documents = [entry.to_json() for entry in self.entries()]
-        Path(path).write_text(json.dumps(documents, indent=2))
-
-    def load(self, path: str | Path) -> int:
-        """Load previously saved entries (merging by URI); returns count."""
-        documents = json.loads(Path(path).read_text())
-        for document in documents:
-            entry = CatalogueEntry.from_json(document)
-            with self._lock:
-                self._entries[entry.uri] = entry
-            self._index.add(entry.uri, entry.index_text())
-        return len(documents)
+    def close(self) -> None:
+        """Stop the pinger and release the probe pool's threads."""
+        self.stop_pinger()
+        with self._lock:
+            pool, self._probe_pool = self._probe_pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)

@@ -1,72 +1,116 @@
 """The catalogue as a RESTful web application.
 
-=========  ==============================  =================================
-Path       GET                             POST / DELETE
-=========  ==============================  =================================
-/search    ranked hits (?q=&tag=&available=)
-/services  all published entries           POST publish {uri, tags} /
-                                           DELETE ?uri= unpublish
-/services/tags                             POST add tags {uri, tags}
-/ping                                      POST re-ping all services
-=========  ==============================  =================================
+==============  ==========================  ================================
+Path            GET                         POST / DELETE
+==============  ==========================  ================================
+/search         ranked hits (?q=&tag=&available=&limit=)
+/services       all published entries       POST publish {uri, tags} /
+                                            DELETE ?uri= unpublish
+/services/tags                              POST add tags {uri, tags}
+/ping                                       POST probe all services (one
+                                            pooled round)
+/ui             search page (?q=)
+/metrics        Prometheus text
+==============  ==========================  ================================
+
+``tags`` is a list of strings and ``limit`` a positive integer; anything
+else answers ``400``. With ``journal_dir`` the entries and their tags
+survive a crash (the catalogue is a :class:`~repro.durability.StateSpine`
+participant); availability is re-probed, not journaled.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from repro.catalogue.catalogue import Catalogue, CatalogueError
-from repro.http import RestServer
-from repro.http.app import RestApp
+from repro.durability import StateSpine
 from repro.http.messages import HttpError, Request, Response
 from repro.http.registry import TransportRegistry
+from repro.observability import RestHost
 
 
-class CatalogueService:
-    """Wraps a :class:`Catalogue` in a REST application."""
+def _publication(request: Request) -> tuple[str, list[str]]:
+    """The ``uri`` and ``tags`` of a publish or tag body, checked."""
+    body = request.json
+    if not isinstance(body, dict):
+        raise HttpError(400, "expected a JSON object")
+    uri, tags = body.get("uri", ""), body.get("tags", [])
+    if not uri or not isinstance(uri, str):
+        raise HttpError(400, "expected a 'uri' string")
+    if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
+        raise HttpError(400, "'tags' must be a list of strings")
+    return uri, tags
 
-    def __init__(self, catalogue: Catalogue | None = None, registry: TransportRegistry | None = None):
-        self.catalogue = catalogue or Catalogue(registry)
-        self.app = RestApp("catalogue")
+
+class CatalogueService(RestHost):
+    """A :class:`Catalogue` served as a REST application."""
+
+    def __init__(
+        self,
+        name: str = "catalogue",
+        registry: TransportRegistry | None = None,
+        journal_dir: "str | Path | None" = None,
+    ):
+        super().__init__(name, registry, observability=True)
+        self.catalogue = Catalogue(self.registry)
+        self.state = StateSpine(journal_dir, metrics=self.metrics)
+        #: The catalogue's write-ahead journal (``None`` when volatile).
+        self.journal = self.state.journal
+        self.catalogue.join(self.state)
+        #: Corruption tolerated while replaying the journal, if any.
+        self.recovery_warnings: list[str] = self.state.recovery_warnings
         self.app.route("GET", "/search", self._search)
         self.app.route("GET", "/services", self._list)
         self.app.route("POST", "/services", self._publish)
-        self.app.route("DELETE", "/services", self._unpublish)
+        self.app.route("DELETE", "/services", self._withdraw)
         self.app.route("POST", "/services/tags", self._tag)
         self.app.route("POST", "/ping", self._ping)
         self.app.route("GET", "/ui", self._ui)
 
-    def bind_local(self, authority: str = "catalogue") -> str:
-        """Expose in process on the catalogue's own registry."""
-        return self.catalogue.registry.bind_local(authority, self.app)
+    def shutdown(self) -> None:
+        """Stop serving, then the pinger and probe pool, then the journal."""
+        self._unpublish()
+        self.state.close()
 
-    def serve(self, host: str = "127.0.0.1", port: int = 0, **server_options: object) -> RestServer:
-        return RestServer(self.app, host=host, port=port, **server_options).start()
+    def crash(self) -> None:
+        """Simulate a cold stop: the journal closes first. Rebuild by
+        constructing a fresh service over the same ``journal_dir``."""
+        self.state.crash()
+        self._unpublish()
+
+    def compact(self) -> None:
+        self.state.compact()
 
     # ------------------------------------------------------------- handlers
 
     def _search(self, request: Request) -> Response:
+        query = request.query.get("q", "")
+        try:
+            limit = int(request.query.get("limit", "20"))
+        except ValueError:
+            limit = 0
+        if limit < 1:
+            raise HttpError(400, "?limit= must be a positive integer")
         hits = self.catalogue.search(
-            query=request.query.get("q", ""),
+            query=query,
             tag=request.query.get("tag") or None,
             available_only=request.query.get("available", "").lower() in ("1", "true", "yes"),
-            limit=int(request.query.get("limit", "20")),
+            limit=limit,
         )
-        return Response.json({"query": request.query.get("q", ""), "hits": hits})
+        return Response.json({"query": query, "hits": hits})
 
     def _list(self, request: Request) -> Response:
         return Response.json([entry.to_json() for entry in self.catalogue.entries()])
 
     def _publish(self, request: Request) -> Response:
-        body = request.json
-        uri = body.get("uri", "")
-        if not uri:
-            raise HttpError(400, "publication needs a 'uri'")
+        uri, tags = _publication(request)
         try:
-            entry = self.catalogue.publish(uri, tags=body.get("tags", []))
+            entry = self.catalogue.publish(uri, tags=tags)
         except CatalogueError as exc:
             raise HttpError(422, str(exc)) from exc
         return Response.created(entry.uri, entry.to_json())
 
-    def _unpublish(self, request: Request) -> Response:
+    def _withdraw(self, request: Request) -> Response:
         uri = request.query.get("uri", "")
         if not uri:
             raise HttpError(400, "unpublish needs a ?uri= parameter")
@@ -77,9 +121,9 @@ class CatalogueService:
         return Response.no_content()
 
     def _tag(self, request: Request) -> Response:
-        body = request.json
+        uri, tags = _publication(request)
         try:
-            entry = self.catalogue.add_tags(body.get("uri", ""), body.get("tags", []))
+            entry = self.catalogue.add_tags(uri, tags)
         except CatalogueError as exc:
             raise HttpError(404, str(exc)) from exc
         return Response.json(entry.to_json())

@@ -133,6 +133,7 @@ class Platform:
             tenant.container.shutdown()
         with self._lock:
             self._tenants.clear()
+        self.catalogue.close()
 
     # ----------------------------------------------------------- deployment
 

@@ -11,7 +11,11 @@ path               method   action
 /tenants/{t}/services  POST deploy a JSON service config (owner only)
 /tenants/{t}/services/{s}  DELETE  undeploy (owner only)
 /search            GET      shared catalogue search (?q=&tenant=)
+/metrics           GET      Prometheus text
 =================  =======  ==========================================
+
+A sign-up may ask for a ``quota`` at or below the default, never above
+it (``403``); a body or ``quota`` that is not a JSON object is a ``400``.
 
 Management calls authenticate with the tenant's owner certificate (the
 ``X-Client-Certificate`` header issued at sign-up).
@@ -19,21 +23,47 @@ Management calls authenticate with the tenant's owner certificate (the
 
 from __future__ import annotations
 
-from repro.http import RestServer
-from repro.http.app import RestApp
+from repro.catalogue.catalogue import CatalogueError
+from repro.core.errors import ConfigurationError, ServiceError
 from repro.http.messages import HttpError, Request, Response
+from repro.observability import RestHost
 from repro.paas.platform import PaasError, Platform, Quota
 from repro.security.errors import AuthenticationError
 from repro.security.middleware import CERTIFICATE_HEADER
 from repro.security.pki import Certificate
 
 
-class PlatformService:
-    """Wraps a :class:`Platform` in a REST application."""
+def _object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise HttpError(400, f"{what} must be a JSON object")
+    return value
 
-    def __init__(self, platform: Platform | None = None):
+
+def _signup_quota(spec: object) -> Quota:
+    """The quota a sign-up asks for: at most the default in every field,
+    because the platform starts a tenant's handler threads eagerly and an
+    anonymous caller must not choose how many (operators pass a larger
+    quota to :meth:`Platform.create_tenant`)."""
+    spec = _object(spec, "'quota'")
+    default = Quota()
+    try:
+        quota = Quota(
+            max_services=int(spec.get("max_services", default.max_services)),
+            handlers=int(spec.get("handlers", default.handlers)),
+        )
+    except (TypeError, ValueError, ConfigurationError) as exc:
+        raise HttpError(400, f"bad quota: {exc}") from exc
+    if quota.max_services > default.max_services or quota.handlers > default.handlers:
+        raise HttpError(403, f"a sign-up may lower its quota, never raise it above {default}")
+    return quota
+
+
+class PlatformService(RestHost):
+    """A :class:`Platform` served as a REST application."""
+
+    def __init__(self, platform: Platform | None = None, name: str = "paas"):
         self.platform = platform or Platform()
-        self.app = RestApp("paas")
+        super().__init__(name, self.platform.registry, observability=True)
         self.app.route("GET", "/tenants", self._list_tenants)
         self.app.route("POST", "/tenants", self._create_tenant)
         self.app.route("GET", "/tenants/{tenant}", self._get_tenant)
@@ -42,11 +72,10 @@ class PlatformService:
         self.app.route("DELETE", "/tenants/{tenant}/services/{service}", self._undeploy)
         self.app.route("GET", "/search", self._search)
 
-    def bind_local(self, authority: str = "paas") -> str:
-        return self.platform.registry.bind_local(authority, self.app)
-
-    def serve(self, host: str = "127.0.0.1", port: int = 0, **server_options: object) -> RestServer:
-        return RestServer(self.app, host=host, port=port, **server_options).start()
+    def shutdown(self) -> None:
+        """Stop serving, then shut the platform's tenants down."""
+        self._unpublish()
+        self.platform.shutdown()
 
     # ----------------------------------------------------------- internals
 
@@ -65,17 +94,15 @@ class PlatformService:
         return Response.json([tenant.to_json() for tenant in self.platform.tenants])
 
     def _create_tenant(self, request: Request) -> Response:
-        body = request.json
+        body = _object(request.json, "a sign-up")
         name, owner = body.get("name", ""), body.get("owner", "")
-        quota_spec = body.get("quota", {})
+        if not isinstance(name, str) or not isinstance(owner, str):
+            raise HttpError(400, "'name' and 'owner' must be strings")
+        quota = _signup_quota(body.get("quota", {}))
         try:
-            quota = Quota(
-                max_services=int(quota_spec.get("max_services", 10)),
-                handlers=int(quota_spec.get("handlers", 2)),
-            )
             tenant = self.platform.create_tenant(name, owner, quota=quota)
-        except (PaasError, ValueError) as exc:
-            raise HttpError(getattr(exc, "http_status", 400), str(exc)) from exc
+        except (PaasError, ConfigurationError) as exc:
+            raise HttpError(exc.http_status, str(exc)) from exc
         document = tenant.to_json()
         # the sign-up response is the only place the certificate appears
         document["certificate"] = tenant.certificate.to_token()
@@ -101,7 +128,7 @@ class PlatformService:
             uri = self.platform.deploy_service(tenant, request.json, caller)
         except PaasError as exc:
             raise HttpError(exc.http_status, str(exc)) from exc
-        except Exception as exc:  # ConfigurationError and friends
+        except (ServiceError, CatalogueError) as exc:  # ConfigurationError and friends
             raise HttpError(422, str(exc)) from exc
         return Response.created(uri, {"uri": uri})
 
@@ -111,7 +138,7 @@ class PlatformService:
             self.platform.undeploy_service(tenant, service, caller)
         except PaasError as exc:
             raise HttpError(exc.http_status, str(exc)) from exc
-        except Exception as exc:
+        except ServiceError as exc:
             raise HttpError(404, str(exc)) from exc
         return Response.no_content()
 

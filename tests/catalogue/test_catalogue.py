@@ -1,12 +1,17 @@
 """Tests for the catalogue and its REST service."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.catalogue import Catalogue, CatalogueService
 from repro.catalogue.catalogue import CatalogueError
 from repro.container import ServiceContainer
 from repro.http.client import ClientError, RestClient
+from repro.http.messages import Response
 from repro.http.registry import TransportRegistry
+from repro.http.transport import Transport, TransportError
 
 
 @pytest.fixture()
@@ -41,7 +46,9 @@ def container(registry):
 
 @pytest.fixture()
 def catalogue(registry):
-    return Catalogue(registry)
+    instance = Catalogue(registry)
+    yield instance
+    instance.close()
 
 
 class TestPublication:
@@ -151,23 +158,146 @@ class TestMonitoring:
 
 
 class TestPersistence:
-    def test_save_and_load(self, catalogue, container, tmp_path, registry):
-        catalogue.publish(container.service_uri("invert"), tags=["cas"])
-        path = tmp_path / "catalogue.json"
-        catalogue.save(path)
-        fresh = Catalogue(registry)
-        assert fresh.load(path) == 1
-        hits = fresh.search("inversion")
-        assert hits and hits[0]["name"] == "invert"
-        assert fresh.entry(container.service_uri("invert")).tags == {"cas"}
+    def test_crash_and_reopen_keeps_entries_tags_and_search_hits(self, registry, container, tmp_path):
+        first = CatalogueService(registry=registry, journal_dir=tmp_path)
+        client = RestClient(registry, base=first.local_base)
+        invert, simplex, xray = (container.service_uri(n) for n in ("invert", "simplex", "xray"))
+        client.post("/services", payload={"uri": invert, "tags": ["cas"]})
+        client.post("/services", payload={"uri": simplex})
+        client.post("/services/tags", payload={"uri": simplex, "tags": ["lp"]})
+        client.post("/services", payload={"uri": xray, "tags": ["physics"]})
+        client.delete(f"/services?uri={xray}")
+        listing = client.get("/services")
+        hits = {query: client.get("/search", query={"q": query})["hits"]
+                for query in ("inversion", "lp", "scattering")}
+        first.crash()
+
+        second = CatalogueService(registry=registry, journal_dir=tmp_path)
+        try:
+            client = RestClient(registry, base=second.local_base)
+            assert client.get("/services") == listing
+            for query, expected in hits.items():
+                assert client.get("/search", query={"q": query})["hits"] == expected
+            assert hits["inversion"][0]["name"] == "invert"
+            assert hits["lp"][0]["name"] == "simplex"
+            assert hits["scattering"] == []
+            assert second.catalogue.entry(invert).tags == {"cas"}
+            assert second.catalogue.entry(simplex).tags == {"lp"}
+            assert second.recovery_warnings == []
+        finally:
+            second.shutdown()
+
+
+class ListSpine:
+    """A state-spine stand-in: hands ``records`` to the participant's
+    restore, then collects what it journals into the same list."""
+
+    def __init__(self, records=()):
+        self.records = list(records)
+
+    def register(self, types, sections, restore, export, collectors=None, close=None):
+        restore({}, list(self.records))
+        return self.records.append
+
+
+class TestConcurrentJournaling:
+    def test_racing_tags_and_republishes_journal_in_state_order(self, registry, container):
+        catalogue = Catalogue(registry)
+        spine = ListSpine()
+        catalogue.join(spine)
+        uri = container.service_uri("invert")
+        catalogue.publish(uri)
+
+        def replayed():
+            fresh = Catalogue(registry)
+            fresh.join(ListSpine(spine.records))
+            return {entry.uri: entry.tags for entry in fresh.entries()}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(100):
+                barrier = threading.Barrier(4)
+
+                def change(worker):
+                    barrier.wait(timeout=30)
+                    if worker == 0:
+                        catalogue.publish(uri, tags=[f"fresh-{round_}"])
+                    else:
+                        catalogue.add_tags(uri, [f"r{round_}-w{worker}"])
+
+                threads = [threading.Thread(target=change, args=(w,)) for w in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                # the last record per URI is the live entry: a record
+                # journaled out of order would fold to a stale one
+                assert replayed() == {uri: catalogue.entry(uri).tags}, round_
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestLifecycle:
+    def test_shutdown_stops_pinger_and_probe_pool(self, registry, container):
+        earlier = set(threading.enumerate())
+
+        def catalogue_threads():
+            return [thread.name for thread in threading.enumerate()
+                    if thread not in earlier
+                    and thread.name.startswith(("catalogue-pinger", "catalogue-probe"))]
+
+        service = CatalogueService(registry=registry)
+        service.catalogue.publish(container.service_uri("invert"))
+        service.catalogue.start_pinger(interval=0.05)
+        RestClient(registry, base=service.local_base).post("/ping")
+        assert len(catalogue_threads()) == 1 + Catalogue.PROBE_WORKERS
+        service.shutdown()
+        assert catalogue_threads() == []
+        with pytest.raises(TransportError):
+            RestClient(registry, base=service.local_base).get("/services")
+
+
+class BarrierTransport(Transport):
+    """Serves service descriptions on ``stub://``; once armed, every probe
+    waits at a barrier, so a round completes only if probes overlap."""
+
+    schemes = ("stub",)
+
+    def __init__(self, parties):
+        self.barrier = threading.Barrier(parties)
+        self.armed = False
+
+    def request(self, method, url, headers=None, body=b""):
+        if self.armed:
+            self.barrier.wait(timeout=30)  # a broken barrier fails the probe
+        return Response.json({"name": url.rsplit("/", 1)[-1]})
+
+
+class TestPooledPing:
+    def test_ping_endpoint_probes_in_parallel(self, registry):
+        transport = BarrierTransport(Catalogue.PROBE_WORKERS)
+        registry.add_transport(transport)
+        service = CatalogueService(registry=registry)
+        try:
+            uris = [f"stub://lab/services/s{index}" for index in range(Catalogue.PROBE_WORKERS)]
+            for uri in uris:
+                service.catalogue.publish(uri)
+            transport.armed = True
+            availability = RestClient(registry, base=service.local_base).post("/ping")
+            assert availability == {uri: True for uri in uris}
+            assert not transport.barrier.broken
+        finally:
+            service.shutdown()
 
 
 class TestRestService:
     @pytest.fixture()
     def rest(self, registry):
-        service = CatalogueService(registry=registry)
-        base = service.bind_local("cat")
-        return RestClient(registry, base=base)
+        service = CatalogueService("cat", registry=registry)
+        yield RestClient(registry, base=service.local_base)
+        service.shutdown()
 
     def test_publish_search_unpublish_cycle(self, rest, container):
         uri = container.service_uri("invert")
@@ -210,5 +340,38 @@ class TestRestService:
             client.post("/services", payload={"uri": container.service_uri("invert")})
             hits = client.get("/search", query={"q": "matrices"})["hits"]
             assert hits
+            assert "mc_catalogue_entries" in client.get("/metrics")
         finally:
-            server.stop()
+            service.shutdown()
+
+    @pytest.mark.parametrize("payload", [
+        {"uri": "local://x/services/y", "tags": "lp"},
+        {"uri": "local://x/services/y", "tags": 5},
+        {"uri": "local://x/services/y", "tags": ["ok", 5]},
+        {"uri": 5},
+        [],
+    ])
+    @pytest.mark.parametrize("path", ["/services", "/services/tags"])
+    def test_malformed_publication_is_400(self, rest, path, payload):
+        with pytest.raises(ClientError) as info:
+            rest.post(path, payload=payload)
+        assert info.value.status == 400
+        assert rest.get("/services") == []
+
+    def test_string_tags_never_split_into_letters(self, rest, container):
+        uri = container.service_uri("simplex")
+        rest.post("/services", payload={"uri": uri, "tags": ["lp"]})
+        with pytest.raises(ClientError):
+            rest.post("/services/tags", payload={"uri": uri, "tags": "abc"})
+        assert rest.get("/services")[0]["tags"] == ["lp"]
+
+    @pytest.mark.parametrize("limit", ["abc", "-1", "0", "1.5", ""])
+    def test_bad_limit_is_400(self, rest, limit):
+        with pytest.raises(ClientError) as info:
+            rest.get("/search", query={"q": "x", "limit": limit})
+        assert info.value.status == 400
+
+    def test_limit_is_honoured(self, rest, container):
+        for name in ("invert", "simplex", "xray"):
+            rest.post("/services", payload={"uri": container.service_uri(name)})
+        assert len(rest.get("/search", query={"limit": "2"})["hits"]) == 2

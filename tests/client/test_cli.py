@@ -122,10 +122,10 @@ class TestCommands:
         assert target.read_bytes() == b"cli-file"
 
     def test_search_command(self, container, registry):
-        catalogue = CatalogueService(registry=registry)
-        base = catalogue.bind_local("cat")
+        catalogue = CatalogueService("cat", registry=registry)
         catalogue.catalogue.publish(container.service_uri("echo"), tags=["demo"])
-        code, out, _ = run_cli(registry, "search", base, "echo", "--tag", "demo")
+        code, out, _ = run_cli(registry, "search", catalogue.local_base, "echo", "--tag", "demo")
+        catalogue.shutdown()
         assert code == 0
         hits = json.loads(out)["hits"]
         assert hits and hits[0]["name"] == "echo"

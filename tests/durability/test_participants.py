@@ -1,8 +1,9 @@
 """Participant conformance kit: one suite over every journal vocabulary.
 
-Six planes write to a write-ahead journal — jobs, result cache, blob
+Seven planes write to a write-ahead journal — jobs, result cache, blob
 pins, tenant usage (all four under a container), workflows + runs (the
-WMS) and batch jobs (the cluster). Each registers with its host's state
+WMS), batch jobs (the cluster) and catalogue entries (the catalogue
+service). Each registers with its host's state
 spine and owns its record vocabulary; this kit holds them all to the
 same contract. A case supplies fixtures only: how to open its host over
 a directory, how to read the plane's state back through the host's
@@ -36,9 +37,12 @@ from repro.batch.cluster import BATCH_INTERRUPTED_REASON, Cluster, ComputeNode
 from repro.batch.job import BatchJob
 from repro.blob import BlobStore
 from repro.cache import ResultCache
+from repro.catalogue import CatalogueService
 from repro.container import ServiceContainer
 from repro.durability import Journal
+from repro.http.app import RestApp
 from repro.http.client import RestClient
+from repro.http.messages import Response
 from repro.http.registry import TransportRegistry
 from repro.workflow.wms import WorkflowManagementService
 from tests.waiters import wait_until
@@ -369,7 +373,53 @@ class BatchCase:
             host.wait(host.qsub(BatchJob(name=word, command=["echo", word])), timeout=10)
 
 
-CASES = [JobCase(), CacheCase(), BlobCase(), UsageCase(), WorkflowCase(), BatchCase()]
+def catalogue_entry(name, tags, published_at=1790658314.5):
+    return {"uri": f"local://described/services/{name}",
+            "description": {"name": name, "title": f"The {name} service"},
+            "tags": tags, "published_at": published_at}
+
+
+class CatalogueCase:
+    section = {"catalogue": [catalogue_entry("keep", ["cas"]), catalogue_entry("gone", [])]}
+    records = [
+        # tagging rewrites the whole entry
+        {"type": "catalogue", "event": "put", "entry": catalogue_entry("keep", ["cas", "exact"])},
+        {"type": "catalogue", "event": "drop", "uri": "local://described/services/gone"},
+        {"type": "catalogue", "event": "put",
+         "entry": catalogue_entry("late", ["physics"], 1790658315.0)},
+    ]
+    expected = {
+        "local://described/services/keep": ("keep", ["cas", "exact"], 1790658314.5),
+        "local://described/services/late": ("late", ["physics"], 1790658315.0),
+    }
+
+    def prepare(self, directory):
+        pass
+
+    def open(self, directory):
+        # every local://described/services/<name> describes itself
+        app = RestApp("described")
+        app.route("GET", "/services/{name}",
+                  lambda request, name: Response.json({"name": name, "title": f"The {name} service"}))
+        registry = TransportRegistry()
+        registry.bind_local("described", app)
+        return CatalogueService("kit-catalogue", registry=registry, journal_dir=directory)
+
+    def state(self, host):
+        hits = {hit["uri"] for hit in host.catalogue.search("service", limit=100)}
+        return {entry.uri: (entry.name, sorted(entry.tags), entry.published_at)
+                for entry in host.catalogue.entries() if entry.uri in hits}
+
+    def script(self, host):
+        client = RestClient(host.registry, base=host.local_base)
+        for name, tags in (("alpha", ["x"]), ("beta", []), ("gamma", ["y"])):
+            client.post("/services", {"uri": f"local://described/services/{name}", "tags": tags})
+        client.post("/services/tags", {"uri": "local://described/services/beta", "tags": ["z"]})
+        client.delete("/services?uri=local://described/services/gamma")
+
+
+CASES = [JobCase(), CacheCase(), BlobCase(), UsageCase(), WorkflowCase(), BatchCase(),
+         CatalogueCase()]
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: type(case).__name__)

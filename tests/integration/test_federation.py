@@ -80,6 +80,7 @@ def federation():
         "catalogue": catalogue,
         "wms": wms,
     }
+    catalogue.close()
     wms.shutdown()
     broker.shutdown()
     org_b.shutdown()

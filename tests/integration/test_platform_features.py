@@ -97,10 +97,10 @@ class TestCatalogueWebUi:
                 "config": {"callable": lambda m: {"r": m}},
             }
         )
-        service = CatalogueService(registry=registry)
-        base = service.bind_local("cat-ui")
+        service = CatalogueService("cat-ui", registry=registry)
         service.catalogue.publish(container.service_uri("invert"), tags=["cas"])
-        yield RestClient(registry, base=base), container
+        yield RestClient(registry, base=service.local_base), container
+        service.shutdown()
         container.shutdown()
 
     def test_empty_page_prompts_for_query(self, setup):

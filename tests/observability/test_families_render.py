@@ -7,8 +7,9 @@ on every scrape, and the registry swallowed it, so neither family ever
 appeared on any ``/metrics`` page. Two guards against a repeat:
 
 - on a fully loaded container (journal + cache + tenancy + a blob + one
-  job per state), a journaled WMS with one run and a gateway with two
-  replicas, every registered family name renders at least one sample;
+  job per state), a journaled WMS with one run, a gateway with two
+  replicas, a journaled catalogue and the PaaS front door, every
+  registered family name renders at least one sample;
 - a collector or scrape hook that raises still never breaks the scrape,
   but shows up as ``mc_metrics_collector_errors_total{family}`` on the
   same page.
@@ -18,11 +19,13 @@ import threading
 
 import pytest
 
+from repro.catalogue import CatalogueService
 from repro.container import ServiceContainer
 from repro.gateway import ServiceGateway
 from repro.http.client import ClientError, RestClient
 from repro.http.registry import TransportRegistry
 from repro.observability import parse_metrics
+from repro.paas import PlatformService
 from repro.runtime.metrics import COLLECTOR_ERRORS, MetricsRegistry
 from repro.tenancy import TenantSpec
 from repro.workflow.wms import WorkflowManagementService
@@ -150,6 +153,36 @@ class TestEveryFamilyRenders:
             gateway.shutdown()
             for replica in replicas:
                 replica.shutdown(wait=False)
+
+    def test_journaled_catalogue_with_a_dead_entry(self, tmp_path):
+        registry = TransportRegistry()
+        container = ServiceContainer("listed", registry=registry)
+        catalogue = CatalogueService(registry=registry, journal_dir=tmp_path)
+        client = RestClient(registry, base=catalogue.local_base)
+        try:
+            for name in ("alive", "dead"):
+                container.deploy({**work_config(threading.Event()),
+                                  "description": {"name": name, "inputs": {}, "outputs": {}}})
+                client.post("/services", payload={"uri": container.service_uri(name)})
+            container.undeploy("dead")
+            client.post("/ping")
+            page = assert_every_family_renders(catalogue)
+            assert page["mc_catalogue_entries"].value(status="up") == 1
+            assert page["mc_catalogue_entries"].value(status="down") == 1
+            assert page["mc_journal_records_total"].total() == 2
+        finally:
+            catalogue.shutdown()
+            container.shutdown()
+
+    def test_paas_front_door_after_a_sign_up(self):
+        paas = PlatformService()
+        try:
+            client = RestClient(paas.registry, base=paas.local_base)
+            client.post("/tenants", payload={"name": "lab", "owner": "CN=alice"})
+            page = assert_every_family_renders(paas)
+            assert page["mc_http_requests_total"].total() >= 1
+        finally:
+            paas.shutdown()
 
 
 class TestCollectorErrorsAreCounted:

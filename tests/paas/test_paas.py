@@ -137,9 +137,8 @@ class TestPlatformRestInterface:
     @pytest.fixture()
     def rest(self, registry):
         service = PlatformService(Platform(registry=registry))
-        base = service.bind_local("paas")
-        yield RestClient(registry, base=base), service.platform
-        service.platform.shutdown()
+        yield RestClient(registry, base=service.local_base), service.platform
+        service.shutdown()
 
     def test_signup_returns_certificate_once(self, rest):
         client, _ = rest
@@ -217,3 +216,50 @@ class TestPlatformRestInterface:
         with pytest.raises(ClientError) as info:
             authed.post("/tenants/lab-a/services", payload=double_config("s2"))
         assert info.value.status == 403
+
+    def test_signup_cannot_raise_its_quota(self, rest):
+        client, platform = rest
+        with pytest.raises(ClientError) as info:
+            client.post("/tenants", payload={"name": "lab-a", "owner": "CN=alice",
+                                             "quota": {"handlers": 3}})
+        assert info.value.status == 403
+        assert platform.tenants == []  # refused before any container was built
+        # an operator may still grant more
+        assert platform.create_tenant("lab-a", "CN=alice", quota=Quota(handlers=3)).quota.handlers == 3
+
+    @pytest.mark.parametrize("payload", [
+        [],
+        {"name": "lab-a", "owner": "CN=alice", "quota": []},
+        {"name": "lab-a", "owner": "CN=alice", "quota": {"handlers": None}},
+        {"name": "lab-a", "owner": "CN=alice", "quota": {"handlers": "many"}},
+        {"name": "lab-a", "owner": "CN=alice", "quota": {"handlers": 0}},
+        {"name": 5, "owner": "CN=alice"},
+        {"name": "bad name!", "owner": "CN=alice"},
+    ])
+    def test_malformed_signup_is_400(self, rest, payload):
+        client, platform = rest
+        with pytest.raises(ClientError) as info:
+            client.post("/tenants", payload=payload)
+        assert info.value.status == 400
+        assert platform.tenants == []
+
+    def test_undeploy_unknown_service_is_404(self, rest):
+        client, _ = rest
+        created = client.post("/tenants", payload={"name": "lab-a", "owner": "CN=alice"})
+        authed = client.with_headers({"X-Client-Certificate": created["certificate"]})
+        with pytest.raises(ClientError) as info:
+            authed.delete("/tenants/lab-a/services/ghost")
+        assert info.value.status == 404
+
+    def test_unexpected_deploy_failure_is_a_500_not_a_422(self, rest, monkeypatch):
+        client, platform = rest
+        created = client.post("/tenants", payload={"name": "lab-a", "owner": "CN=alice"})
+        authed = client.with_headers({"X-Client-Certificate": created["certificate"]})
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("a platform bug")
+
+        monkeypatch.setattr(platform, "deploy_service", broken)
+        with pytest.raises(ClientError) as info:
+            authed.post("/tenants/lab-a/services", payload=double_config())
+        assert info.value.status == 500
